@@ -13,8 +13,6 @@ into a tunable frequency detector, summarized by the tuning map.
 import os
 from collections import Counter
 
-import numpy as np
-
 from rfneuron import CircuitParams, derive_params
 from rfneuron.analysis import tuning_map
 from rfneuron.experiments import ChirpSetup, run_chirp
@@ -30,11 +28,7 @@ def main():
 
     trace, events, prog = run_chirp(p)
     blocks = prog.freq_blocks
-    starts = np.asarray([b.t_start for b in blocks])
-    cnt = Counter()
-    for e in events:
-        j = int(np.searchsorted(starts, e.t_req, side="right")) - 1
-        cnt[j] += 1
+    cnt = Counter(prog.block_index(e.t_req) for e in events)
     print(f"raster: {len(events)} spikes across 13 frequency blocks")
     for j, b in enumerate(blocks):
         bar = "#" * cnt.get(j, 0)

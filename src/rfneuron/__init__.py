@@ -27,11 +27,10 @@ from .handshake import (
     SpikeEvent,
     firing_rate,
 )
-from .integrator import IntegratorConfig, Trace, integrate, refine_crossing, step_rk4
+from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import (
     Polarity,
     StimulusProgram,
-    SynapseModel,
     pulse,
     spiking_chirp,
     step,

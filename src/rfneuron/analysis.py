@@ -14,17 +14,16 @@ rather than silently trusted.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from .core import CircuitParams, NeuronState, Phase, derive_params
 from .errors import UndefinedMetricError
-from .handshake import FiringRate, HandshakeConfig, SpikeEvent, firing_rate
+from .handshake import HandshakeConfig, firing_rate
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import StimulusProgram, step
 
@@ -343,9 +342,7 @@ def tuning_map(
         raise ValueError("tuning_map requires a chirp program with frequency blocks")
     blocks = chirp.freq_blocks
     freqs = tuple(b.frequency for b in blocks)
-    n_freq = len(freqs)
-    counts = np.zeros((len(bias_levels), n_freq), dtype=int)
-    block_starts = np.asarray([b.t_start for b in blocks])
+    counts = np.zeros((len(bias_levels), len(freqs)), dtype=int)
     if cfg is None:
         cfg = IntegratorConfig(t_end=blocks[-1].t_end)
 
@@ -355,8 +352,7 @@ def tuning_map(
         s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
         _, events = integrate(s0, p, chirp, cfg, protocol)
         for e in events:
-            j = int(np.searchsorted(block_starts, e.t_req, side="right")) - 1
-            counts[row, min(max(j, 0), n_freq - 1)] += 1
+            counts[row, chirp.block_index(e.t_req)] += 1
     return TuningMap(
         bias_levels=tuple(bias_levels),
         frequencies=freqs,

@@ -9,8 +9,9 @@ Subcommands map one-to-one onto the characterization experiments:
     montecarlo  die-to-die variability statistics
 
 All outputs are plain CSV/JSON plus a YAML dump of the effective
-configuration.  Exit codes: 0 success, 1 configuration error, 2 numeric
-diagnostic (a voltage-guard overflow flag was raised), 3 I/O error.
+configuration.  Exit codes: 0 success, 1 configuration error (including a
+scripted acknowledge list too short for the run), 2 numeric diagnostic (a
+voltage-guard overflow flag was raised), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 
 from .analysis import tuning_map, fi_curve
 from .config import ExperimentConfig, dump_effective_config, load_config
-from .core import derive_params
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .handshake import events_to_csv, events_to_json
 from .experiments import linear_fit, run_bias_sweep, run_chirp, run_ringdown
 from .montecarlo import run_population
@@ -84,7 +84,7 @@ def cmd_fi(args) -> int:
     p = dataclasses.replace(cfg.neuron, V_th=cfg.fi.V_th)
     rows = fi_curve(
         p, cfg.fi.levels(), spikes_per_point=cfg.fi.spikes_per_point,
-        timeout=cfg.fi.timeout, protocol=cfg.handshake,
+        timeout=cfg.fi.timeout, cfg=cfg.integrator, protocol=cfg.handshake,
     )
     with open(out / "fi_curve.csv", "w") as fh:
         fh.write("level_V,rate_Hz,rate_std_Hz\n")
@@ -101,22 +101,18 @@ def cmd_chirp(args) -> int:
     cfg = _load(args)
     out = _prepare_outdir(args)
     trace, events, prog = run_chirp(cfg.neuron, cfg.chirp, cfg.handshake)
-    assert prog.freq_blocks is not None
-    starts = np.asarray([b.t_start for b in prog.freq_blocks])
-    freqs = [b.frequency for b in prog.freq_blocks]
     with open(out / "chirp_raster.csv", "w") as fh:
         fh.write("index,t_req_s,t_release_s,block_freq_Hz\n")
         for e in events:
-            j = int(np.searchsorted(starts, e.t_req, side="right")) - 1
-            j = min(max(j, 0), len(freqs) - 1)
-            fh.write(f"{e.index},{e.t_req:.12g},{e.t_release:.12g},{freqs[j]:.12g}\n")
+            f = prog.freq_blocks[prog.block_index(e.t_req)].frequency
+            fh.write(f"{e.index},{e.t_req:.12g},{e.t_release:.12g},{f:.12g}\n")
     trace.to_csv(out / "chirp_trace.csv")
     overflow = trace.any_overflow
     summary = {"n_spikes": len(events)}
     if args.full_map:
         tm = tuning_map(
             cfg.neuron, cfg.chirp.bias_levels(), cfg.chirp.vth_schedule(),
-            prog, protocol=cfg.handshake,
+            prog, cfg=cfg.chirp.integrator_config(prog), protocol=cfg.handshake,
         )
         tm.to_csv(out / "tuning_map.csv")
         tm.to_json(out / "tuning_map.json")
@@ -199,6 +195,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ProtocolError as exc:
+        print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -116,9 +116,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if not isinstance(loaded, dict):
             raise ConfigError(f"config root must be a mapping: {path}")
         raw = loaded
+    sections = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in raw:
-        if key not in ("neuron", "integrator", "handshake", "ringdown",
-                       "fi", "chirp", "sweep", "montecarlo"):
+        if key not in sections:
             raise ConfigError(f"unknown config section '{key}'")
     if overrides:
         for dotted, value in overrides.items():
@@ -164,15 +164,5 @@ def _plain(obj):
 
 def dump_effective_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Write the fully-defaulted configuration for provenance."""
-    payload = {
-        "neuron": _plain(cfg.neuron),
-        "integrator": _plain(cfg.integrator),
-        "handshake": _plain(cfg.handshake),
-        "ringdown": _plain(cfg.ringdown),
-        "fi": _plain(cfg.fi),
-        "chirp": _plain(cfg.chirp),
-        "sweep": _plain(cfg.sweep),
-        "montecarlo": _plain(cfg.montecarlo),
-    }
     with open(path, "w") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=True, default_flow_style=False)
+        yaml.safe_dump(_plain(cfg), fh, sort_keys=True, default_flow_style=False)

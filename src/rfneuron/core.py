@@ -20,8 +20,10 @@ shareable across concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+from .errors import require_finite
 
 __all__ = [
     "Phase",
@@ -87,6 +89,7 @@ class CircuitParams:
     I_n0_beta: float | None = 20.5e-15  # A, V-branch override (comparator margin)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         positive = {
             "C1": self.C1, "C2": self.C2, "I_n0": self.I_n0,
             "U_T": self.U_T, "I_IU": self.I_IU, "I_IV": self.I_IV,

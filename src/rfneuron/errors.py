@@ -1,6 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types and the finiteness check every parameter type applies."""
 
-__all__ = ["ConfigError", "ProtocolError", "UndefinedMetricError"]
+import dataclasses
+import math
+
+__all__ = ["ConfigError", "ProtocolError", "UndefinedMetricError", "require_finite"]
 
 
 class ConfigError(ValueError):
@@ -13,3 +16,16 @@ class ProtocolError(RuntimeError):
 
 class UndefinedMetricError(RuntimeError):
     """A trace does not support the requested metric (no peaks, no decay, ...)."""
+
+
+def require_finite(obj) -> None:
+    """Reject NaN or infinity in any float field (or tuple entry) of dataclass ``obj``.
+
+    Range checks written as comparisons let NaN through, since every
+    comparison with NaN is false; this check runs before them.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")

@@ -100,6 +100,12 @@ class ChirpSetup:
             self.pulse_width, self.amplitude, self.polarity, v_limit=v_limit,
         )
 
+    def integrator_config(self, prog: StimulusProgram) -> IntegratorConfig:
+        """Step settings for a run over the whole chirp ``prog``."""
+        return IntegratorConfig(
+            dt=self.dt, t_end=prog.freq_blocks[-1].t_end, sample_stride=self.sample_stride,
+        )
+
     def bias_levels(self) -> list[float]:
         return list(np.geomspace(self.bias_min, self.bias_max, self.n_bias))
 
@@ -214,12 +220,7 @@ def run_chirp(
     if setup is None:
         setup = ChirpSetup()
     prog = setup.program(v_limit=p.V_DD)
-    assert prog.freq_blocks is not None
-    cfg = IntegratorConfig(
-        dt=setup.dt,
-        t_end=prog.freq_blocks[-1].t_end,
-        sample_stride=setup.sample_stride,
-    )
+    cfg = setup.integrator_config(prog)
     dp = derive_params(p)
     s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
     trace, events = integrate(s0, p, prog, cfg, protocol)

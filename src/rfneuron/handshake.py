@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import NeuronState, Phase
-from .errors import ProtocolError
+from .errors import ProtocolError, require_finite
 
 __all__ = [
     "AckMode",
@@ -48,6 +48,7 @@ class HandshakeConfig:
     ack_delays: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.T_spk <= 0.0:
             raise ValueError(f"T_spk must be positive, got {self.T_spk!r}")
         if any(d < 0.0 for d in self.ack_delays):

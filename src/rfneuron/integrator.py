@@ -15,21 +15,19 @@ is exactly delimited in the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import CircuitParams, DerivedParams, NeuronState, Phase, derive_params
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .handshake import HandshakeConfig, HandshakeFSM, SpikeEvent
-from .stimuli import StimulusProgram, SynapseModel, synapse_current
+from .stimuli import StimulusProgram, synapse_current
 
 __all__ = [
     "IntegratorConfig",
     "Trace",
-    "step_rk4",
-    "refine_crossing",
     "integrate",
 ]
 
@@ -52,6 +50,7 @@ class IntegratorConfig:
     sample_stride: int = 50
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
         if self.t_end <= 0.0:
@@ -111,29 +110,6 @@ class Trace:
                 )
 
 
-def step_rk4(
-    s: NeuronState,
-    dt: float,
-    rhs_closure: Callable[[float, float, float], tuple[float, float]],
-) -> NeuronState:
-    """One classical fourth-order Runge-Kutta step of the (U, V) pair.
-
-    ``rhs_closure(t, U, V)`` supplies the derivatives; it is evaluated at the
-    stage times t, t + dt/2 and t + dt.
-    """
-    if s.phase is not Phase.OSCILLATE:
-        raise ValueError("step_rk4 requires the OSCILLATE phase")
-    t, u, v = s.t, s.U, s.V
-    half = 0.5 * dt
-    du1, dv1 = rhs_closure(t, u, v)
-    du2, dv2 = rhs_closure(t + half, u + half * du1, v + half * dv1)
-    du3, dv3 = rhs_closure(t + half, u + half * du2, v + half * dv2)
-    du4, dv4 = rhs_closure(t + dt, u + dt * du3, v + dt * dv3)
-    u_new = u + dt * (du1 + 2.0 * (du2 + du3) + du4) / 6.0
-    v_new = v + dt * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0
-    return NeuronState(t=t + dt, U=u_new, V=v_new, phase=Phase.OSCILLATE)
-
-
 def _rk4_once(u: float, v: float, h: float, f: Deriv) -> tuple[float, float]:
     """RK4 update with a time-independent derivative (constant drive)."""
     half = 0.5 * h
@@ -166,46 +142,6 @@ def _make_deriv(p: CircuitParams, ref: DerivedParams, I_in: float) -> Deriv:
         )
 
     return f
-
-
-def refine_crossing(
-    t_lo: float,
-    t_hi: float,
-    state_lo: NeuronState,
-    state_hi: NeuronState,
-    p: CircuitParams,
-    prog: StimulusProgram,
-    crossing_tol: float = 1e-9,
-    ref: DerivedParams | None = None,
-) -> float:
-    """Refine the threshold-crossing time inside one integration substep.
-
-    Preconditions: V(t_lo) <= V_th <= V(t_hi) with t_hi - t_lo at most one
-    step, and a constant drive across [t_lo, t_hi].  Bisection shrinks the
-    bracket by re-integrating a single partial RK4 step from ``state_lo``
-    each iteration, so the returned time is within ``crossing_tol`` of the
-    true crossing.  If V already sits at threshold at t_lo, t_lo is returned.
-    """
-    V_th = p.V_th
-    if state_lo.V >= V_th:
-        return t_lo
-    if state_hi.V < V_th:
-        raise ValueError("refine_crossing called without a bracketing interval")
-    if ref is None:
-        ref = derive_params(p)
-    model = SynapseModel.from_params(p)
-    v_exc, v_inh = prog.drives_at(0.5 * (t_lo + t_hi))
-    f = _make_deriv(p, ref, synapse_current(v_exc, v_inh, model, p))
-    lo, hi = t_lo, t_hi
-    u0, v0 = state_lo.U, state_lo.V
-    while hi - lo > crossing_tol:
-        mid = 0.5 * (lo + hi)
-        _, v_mid = _rk4_once(u0, v0, mid - t_lo, f)
-        if v_mid >= V_th:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 class _Recorder:
@@ -297,12 +233,11 @@ def integrate(
     """
     if protocol is None:
         protocol = HandshakeConfig(T_spk=p.T_spk)
-    model = SynapseModel.from_params(p)
 
     ref_current = 0.0
     if prog.is_constant:
         v_exc, v_inh = prog.drives_at(0.0)
-        ref_current = synapse_current(v_exc, v_inh, model, p)
+        ref_current = synapse_current(v_exc, v_inh, p)
     ref = derive_params(p, I_in=ref_current)
     cfg.validate_against(ref.f_res)
 
@@ -321,7 +256,7 @@ def integrate(
 
     # Current constant-drive span and its derivative closure.
     cur_seg = prog.segment_at(t)
-    I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, model, p)
+    I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, p)
     f = _make_deriv(p, ref, I_in)
 
     rec.add(t, u, v, 0.0 if phase is Phase.CLAMPED else I_in,
@@ -351,7 +286,7 @@ def integrate(
             pending_event = None
             t, u, v, phase = released.t, released.U, released.V, Phase.OSCILLATE
             cur_seg = prog.segment_at(t)
-            I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, model, p)
+            I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, p)
             f = _make_deriv(p, ref, I_in)
             rec.add(t, u, v, I_in, False, out_of_range(u, v))
             idx = int(np.searchsorted(stops, t * (1.0 + _GRID_SNAP), side="right"))
@@ -365,7 +300,7 @@ def integrate(
         mid = t + 0.5 * h
         if not (cur_seg.t_start <= mid < cur_seg.t_end):
             cur_seg = prog.segment_at(mid)
-            I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, model, p)
+            I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, p)
             f = _make_deriv(p, ref, I_in)
 
         u_new, v_new = _rk4_once(u, v, h, f)

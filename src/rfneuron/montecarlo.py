@@ -25,6 +25,7 @@ import numpy as np
 
 from .analysis import MetricsRecord
 from .core import CircuitParams, derive_params
+from .errors import require_finite
 from .experiments import RingdownSetup, run_ringdown
 
 __all__ = [
@@ -59,6 +60,7 @@ class MismatchModel:
     seed: int = 20260810
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("sigma_ln_In0_alpha", "sigma_ln_In0_beta", "sigma_C",
                      "sigma_I_bias", "sigma_ln_g_damp"):
             if getattr(self, name) < 0.0:

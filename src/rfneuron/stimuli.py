@@ -28,7 +28,6 @@ __all__ = [
     "Segment",
     "FrequencyBlock",
     "StimulusProgram",
-    "SynapseModel",
     "pulse",
     "step",
     "spiking_chirp",
@@ -58,25 +57,6 @@ class FrequencyBlock:
     t_start: float
     t_end: float
     frequency: float
-
-
-@dataclass(frozen=True)
-class SynapseModel:
-    """Exponential synapse gains and the shared gate coupling coefficient."""
-
-    I_s0_exc: float
-    I_s0_inh: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.I_s0_exc <= 0.0 or self.I_s0_inh <= 0.0:
-            raise ValueError("synapse scale currents must be strictly positive")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0, 1), got {self.kappa!r}")
-
-    @classmethod
-    def from_params(cls, p: CircuitParams) -> "SynapseModel":
-        return cls(I_s0_exc=p.I_s0_exc, I_s0_inh=p.I_s0_inh, kappa=p.kappa_n)
 
 
 class StimulusProgram:
@@ -113,6 +93,7 @@ class StimulusProgram:
         self._segments = tuple(segments)
         self._starts = [seg.t_start for seg in segments]
         self.freq_blocks = freq_blocks
+        self._block_starts = [blk.t_start for blk in freq_blocks or ()]
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -141,14 +122,15 @@ class StimulusProgram:
         seg = self.segment_at(t)
         return seg.V_exc, seg.V_inh
 
-    def block_at(self, t: float) -> FrequencyBlock | None:
-        """Chirp frequency block active at ``t``, if this is a chirp program."""
-        if not self.freq_blocks:
-            return None
-        for blk in self.freq_blocks:
-            if blk.t_start <= t < blk.t_end:
-                return blk
-        return None
+    def block_index(self, t: float) -> int:
+        """Index into ``freq_blocks`` of the chirp block active at ``t``.
+
+        Times after the last block (the free-ringing tail) belong to the
+        last block.  Raises ValueError for a program without blocks.
+        """
+        if not self._block_starts:
+            raise ValueError("block_index requires a chirp program with frequency blocks")
+        return max(bisect.bisect_right(self._block_starts, t) - 1, 0)
 
     @classmethod
     def from_csv(cls, path, v_limit: float = 1.5) -> "StimulusProgram":
@@ -294,24 +276,17 @@ def spiking_chirp(
     return _onoff(spans, amplitude, polarity, v_limit, freq_blocks=tuple(blocks))
 
 
-def synapse_current(
-    V_exc_in: float,
-    V_inh_in: float,
-    m: SynapseModel,
-    p: CircuitParams,
-    clamped: bool = False,
-) -> float:
+def synapse_current(V_exc_in: float, V_inh_in: float, p: CircuitParams) -> float:
     """Net synaptic current into the U node, amperes.
 
-    I_in = I_s0_exc (e^{k Ve/U_T} - 1) - I_s0_inh (e^{k Vi/U_T} - 1); the
-    -1 terms cancel the quiescent leak so zero drive is exactly quiescent.
-    During a handshake the series gates cut the synapses off, modelled by
-    ``clamped`` forcing the current to zero.
+    I_in = I_s0_exc (e^{k Ve/U_T} - 1) - I_s0_inh (e^{k Vi/U_T} - 1) with
+    k = ``p.kappa_n``; the -1 terms cancel the quiescent leak so zero drive
+    is exactly quiescent.  This is the free-running current: during a
+    handshake the series gates cut the synapses off, and ``integrate``
+    holds the input at zero for the whole clamp.
     """
-    if clamped:
-        return 0.0
-    r = m.kappa / p.U_T
+    r = p.kappa_n / p.U_T
     return (
-        m.I_s0_exc * (math.exp(r * V_exc_in) - 1.0)
-        - m.I_s0_inh * (math.exp(r * V_inh_in) - 1.0)
+        p.I_s0_exc * (math.exp(r * V_exc_in) - 1.0)
+        - p.I_s0_inh * (math.exp(r * V_inh_in) - 1.0)
     )

@@ -2,10 +2,13 @@
 
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import pytest
+import yaml
 
+from rfneuron import CircuitParams, HandshakeConfig, IntegratorConfig, MismatchModel, cli
 from rfneuron.cli import main
 from rfneuron.config import dump_effective_config, load_config
 from rfneuron.errors import ConfigError
@@ -51,6 +54,34 @@ def fast_config(tmp_path) -> Path:
     path = tmp_path / "fast.yaml"
     path.write_text(FAST_CONFIG)
     return path
+
+
+def _captured_cfg(monkeypatch, name: str, argv: list[str]) -> IntegratorConfig:
+    """Run the CLI with ``cli.<name>`` stubbed out; return the ``cfg`` it was given."""
+    class Captured(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Captured(kwargs.get("cfg"))
+
+    monkeypatch.setattr(cli, name, stub)
+    with pytest.raises(Captured) as info:
+        main(argv)
+    return info.value.args[0]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: CircuitParams(g_damp=math.nan), id="CircuitParams.g_damp"),
+    pytest.param(lambda: CircuitParams(C1=math.inf), id="CircuitParams.C1"),
+    pytest.param(lambda: IntegratorConfig(t_end=math.nan), id="IntegratorConfig.t_end"),
+    pytest.param(lambda: MismatchModel(sigma_C=math.nan), id="MismatchModel.sigma_C"),
+    pytest.param(lambda: HandshakeConfig(T_spk=math.nan), id="HandshakeConfig.T_spk"),
+    pytest.param(lambda: HandshakeConfig(ack_delays=(0.0, math.nan)),
+                 id="HandshakeConfig.ack_delays"),
+])
+def test_non_finite_values_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestLoadConfig:
@@ -145,6 +176,32 @@ class TestCli:
         assert rc == 0
         pop = json.loads((out / "population.json").read_text())
         assert pop["n_dies"] == 3
+
+    def test_fi_follows_the_integrator_section(self, fast_config, tmp_path, monkeypatch):
+        argv = ["fi", "--config", str(fast_config), "--outdir", str(tmp_path / "o")]
+        cfg = _captured_cfg(monkeypatch, "fi_curve", argv)
+        assert (cfg.dt, cfg.sample_stride) == (2e-6, 25)
+
+    def test_full_map_follows_the_chirp_step(self, tmp_path, monkeypatch):
+        doc = yaml.safe_load(FAST_CONFIG)
+        doc["chirp"].update(dt=2e-6, sample_stride=25)
+        path = tmp_path / "chirp.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = ["chirp", "--config", str(path), "--outdir", str(tmp_path / "o"), "--full-map"]
+        cfg = _captured_cfg(monkeypatch, "tuning_map", argv)
+        loaded = load_config(path)
+        prog = loaded.chirp.program(v_limit=loaded.neuron.V_DD)
+        assert cfg == loaded.chirp.integrator_config(prog)
+        assert (cfg.dt, cfg.sample_stride) == (2e-6, 25)
+
+    def test_exhausted_scripted_acks_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "acks.yaml"
+        path.write_text(FAST_CONFIG + "handshake: {mode: scripted_ack, ack_delays: [0.0]}\n")
+        rc = main(["fi", "--config", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("protocol error: scripted acknowledge list exhausted")
+        assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"

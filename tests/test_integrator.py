@@ -1,4 +1,4 @@
-"""RK4 stepping, event bracketing/refinement, trace bookkeeping."""
+"""RK4 stepping, the derivative kernel, event refinement, trace bookkeeping."""
 
 import dataclasses
 import math
@@ -12,15 +12,13 @@ from rfneuron import (
     HandshakeConfig,
     IntegratorConfig,
     NeuronState,
-    Phase,
     derive_params,
     integrate,
-    lv_invariant,
     pulse,
-    refine_crossing,
+    rhs,
     step,
-    step_rk4,
 )
+from rfneuron.integrator import _make_deriv, _rk4_once
 from rfneuron.stimuli import Polarity
 
 
@@ -34,96 +32,63 @@ def zero_program():
 
 
 class TestStepRK4:
-    def test_zero_rhs_advances_time_only(self):
-        s = NeuronState(t=1.0, U=0.7, V=0.8)
-        out = step_rk4(s, 1e-3, lambda t, u, v: (0.0, 0.0))
-        assert out.t == pytest.approx(1.001)
-        assert out.U == 0.7 and out.V == 0.8
+    def test_zero_rhs_leaves_state_unchanged(self):
+        assert _rk4_once(0.7, 0.8, 1e-3, lambda u, v: (0.0, 0.0)) == (0.7, 0.8)
 
     def test_constant_rhs_is_exact(self):
-        s = NeuronState(t=0.0, U=0.0, V=0.0)
-        out = step_rk4(s, 0.25, lambda t, u, v: (2.0, -4.0))
-        assert out.U == pytest.approx(0.5, rel=1e-15)
-        assert out.V == pytest.approx(-1.0, rel=1e-15)
+        u, v = _rk4_once(0.0, 0.0, 0.25, lambda u, v: (2.0, -4.0))
+        assert u == pytest.approx(0.5, rel=1e-15)
+        assert v == pytest.approx(-1.0, rel=1e-15)
 
     def test_fourth_order_convergence_on_rotation(self):
         # du/dt = -w v, dv/dt = w u has the exact solution of a rotation
         w = 2 * math.pi * 100.0
 
-        def rot(t, u, v):
+        def rot(u, v):
             return (-w * v, w * u)
 
         def final_error(dt):
             n = int(round((1.0 / 100.0) / dt))
-            s = NeuronState(t=0.0, U=1.0, V=0.0)
+            u, v = 1.0, 0.0
             for _ in range(n):
-                s = step_rk4(s, dt, rot)
-            return math.hypot(s.U - 1.0, s.V - 0.0)
+                u, v = _rk4_once(u, v, dt, rot)
+            return math.hypot(u - 1.0, v - 0.0)
 
         e1 = final_error(1e-5)
         e2 = final_error(5e-6)
         assert 12.0 < e1 / e2 < 20.0
 
-    def test_requires_oscillate_phase(self):
-        s = NeuronState(t=0.0, U=0.7, V=0.8, phase=Phase.CLAMPED)
-        with pytest.raises(ValueError):
-            step_rk4(s, 1e-6, lambda t, u, v: (0.0, 0.0))
+
+class TestDerivative:
+    @pytest.mark.parametrize("U, V", [
+        (0.70, 0.80),                 # inside the voltage guard window
+        (-0.5, 0.80),                 # U below the guard
+        (0.70, 2.0),                  # V above the guard
+    ])
+    def test_kernel_matches_core_rhs(self, U, V):
+        p = CircuitParams()
+        I_in = -3e-11
+        ref = derive_params(p, I_in=2e-11)
+        expected = rhs(NeuronState(t=0.0, U=U, V=V), p, I_in, ref)
+        got = _make_deriv(p, ref, I_in)(U, V)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestRefineCrossing:
-    def _bracket(self, p, prog, t0, state0, dt):
-        """March until a step straddles V_th; return that substep."""
-        from rfneuron.integrator import _make_deriv, _rk4_once
-        ref = derive_params(p)
-        seg = prog.segment_at(t0)
-        from rfneuron.stimuli import SynapseModel, synapse_current
-        f = _make_deriv(p, ref, synapse_current(seg.V_exc, seg.V_inh,
-                                                SynapseModel.from_params(p), p))
-        t, u, v = t0, state0.U, state0.V
-        for _ in range(2_000_000):
-            u2, v2 = _rk4_once(u, v, dt, f)
-            if v < p.V_th <= v2:
-                return (t, NeuronState(t=t, U=u, V=v),
-                        t + dt, NeuronState(t=t + dt, U=u2, V=v2))
-            t, u, v = t + dt, u2, v2
-        raise AssertionError("no crossing found")
-
-    def test_boundary_state_already_at_threshold(self):
-        p = CircuitParams()
-        prog = zero_program()
-        lo = NeuronState(t=1e-3, U=0.75, V=p.V_th)
-        hi = NeuronState(t=1.001e-3, U=0.75, V=p.V_th + 1e-3)
-        assert refine_crossing(1e-3, 1.001e-3, lo, hi, p, prog) == 1e-3
-
     def test_refined_time_is_bracketed_and_accurate(self):
-        # drive the neuron over threshold with a strong constant input
+        # the first event of a run at the default tolerance must sit within
+        # crossing_tol of the same event refined 1000x tighter, and never
+        # before it: bisection returns the upper end of its bracket
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
         prog = step(0.0, 0.0, 0.5, Polarity.EXC)
-        s0 = equilibrium_state(p)
-        dt = 1e-6
-        t_lo, s_lo, t_hi, s_hi = self._bracket(p, prog, 0.0, s0, dt)
-        ref = derive_params(p)  # transient reference not used: constant program
-        t_star = refine_crossing(t_lo, t_hi, s_lo, s_hi, p, prog,
-                                 crossing_tol=1e-9,
-                                 ref=derive_params(p, I_in=None or 0.0))
-        assert t_lo < t_star <= t_hi
-        # re-integrating to t_star must land within tol * slope of V_th
-        from rfneuron.integrator import _make_deriv, _rk4_once
-        from rfneuron.stimuli import SynapseModel, synapse_current
-        seg = prog.segment_at(t_lo)
-        I_in = synapse_current(seg.V_exc, seg.V_inh, SynapseModel.from_params(p), p)
-        f = _make_deriv(p, derive_params(p, I_in=I_in), I_in)
-        u_c, v_c = _rk4_once(s_lo.U, s_lo.V, t_star - t_lo, f)
-        slope = abs(f(u_c, v_c)[1])
-        assert abs(v_c - p.V_th) <= 5.0 * 1e-9 * slope
 
-    def test_requires_bracketing_interval(self):
-        p = CircuitParams()
-        prog = zero_program()
-        lo = NeuronState(t=0.0, U=0.75, V=0.80)
-        hi = NeuronState(t=1e-6, U=0.75, V=0.81)
-        with pytest.raises(ValueError):
-            refine_crossing(0.0, 1e-6, lo, hi, p, prog)
+        def first_t_req(tol):
+            cfg = IntegratorConfig(dt=1e-6, t_end=0.05, crossing_tol=tol, sample_stride=50)
+            _, events = integrate(equilibrium_state(p), p, prog, cfg, max_events=1)
+            return events[0].t_req
+
+        coarse, fine = first_t_req(1e-9), first_t_req(1e-12)
+        assert -1e-12 <= coarse - fine <= 1e-9
 
 
 class TestIntegrate:

@@ -1,17 +1,21 @@
 """Stimulus program construction and the exponential synapse."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfneuron import (
-    CircuitParams,
     ConfigError,
+    IntegratorConfig,
+    NeuronState,
     Polarity,
     StimulusProgram,
-    SynapseModel,
+    derive_params,
+    integrate,
     pulse,
     spiking_chirp,
     step,
@@ -125,37 +129,57 @@ class TestSpikingChirp:
 
     def test_block_lookup(self):
         prog = spiking_chirp(131.0, 262.0, 13, 10, 100e-6, 0.5, Polarity.INH)
-        blk = prog.block_at(0.0)
-        assert blk.frequency == pytest.approx(131.0)
-        assert prog.block_at(1e9) is None
+        assert prog.freq_blocks[prog.block_index(0.0)].frequency == pytest.approx(131.0)
+        assert prog.block_index(1e9) == 12   # the free-ringing tail joins the last block
+        with pytest.raises(ValueError):
+            pulse(1e-3, 1e-4, 0.5).block_index(0.0)
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+           st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_block_index_matches_linear_scan(self, n_freqs, spikes, data):
+        prog = spiking_chirp(50.0, 300.0, n_freqs, spikes, 1e-4, 0.4, Polarity.INH)
+        blocks = prog.freq_blocks
+        t = data.draw(st.one_of(
+            st.sampled_from([b.t_start for b in blocks] + [blocks[-1].t_end]),
+            st.floats(min_value=0.0, max_value=2.0 * blocks[-1].t_end),
+        ))
+        expected = next((j for j, b in enumerate(blocks) if b.t_start <= t < b.t_end),
+                        len(blocks) - 1)
+        assert prog.block_index(t) == expected
 
 
 class TestSynapseCurrent:
     def test_zero_inputs_give_zero_current(self, default_params):
-        m = SynapseModel.from_params(default_params)
-        assert synapse_current(0.0, 0.0, m, default_params) == 0.0
+        assert synapse_current(0.0, 0.0, default_params) == 0.0
 
     def test_clamped_gates_the_synapse_off(self, default_params):
-        m = SynapseModel.from_params(default_params)
-        assert synapse_current(0.5, 0.2, m, default_params, clamped=True) == 0.0
+        # the drive stays on through every handshake, but the recorded input
+        # current is zero while clamped and the full synapse current otherwise
+        p = dataclasses.replace(default_params, V_th=0.840)
+        dp = derive_params(p)
+        s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
+        cfg = IntegratorConfig(dt=1e-6, t_end=0.03, sample_stride=10)
+        trace, events = integrate(s0, p, step(0.0, 0.0, 0.5, Polarity.EXC), cfg)
+        assert events
+        assert np.all(trace.I_in[trace.clamped] == 0.0)
+        assert np.all(trace.I_in[~trace.clamped] == synapse_current(0.5, 0.0, p))
 
     def test_antisymmetry_with_equal_scales(self, default_params):
-        m = SynapseModel(I_s0_exc=1e-15, I_s0_inh=1e-15, kappa=0.7)
-        a = synapse_current(0.4, 0.1, m, default_params)
-        b = synapse_current(0.1, 0.4, m, default_params)
+        p = dataclasses.replace(default_params, I_s0_exc=1e-15, I_s0_inh=1e-15)
+        a = synapse_current(0.4, 0.1, p)
+        b = synapse_current(0.1, 0.4, p)
         assert a == pytest.approx(-b, rel=1e-12)
 
     def test_calibrated_pulse_displaces_at_least_5mV(self, default_params):
         # the standard 0.5 V / 100 us inhibitory pulse must move U visibly
         p = default_params
-        m = SynapseModel.from_params(p)
-        I = synapse_current(0.0, 0.5, m, p)
+        I = synapse_current(0.0, 0.5, p)
         assert I < 0.0
         assert abs(I) * 100e-6 / p.C1 >= 5e-3
 
     def test_excitatory_current_is_positive(self, default_params):
-        m = SynapseModel.from_params(default_params)
-        assert synapse_current(0.5, 0.0, m, default_params) > 0.0
+        assert synapse_current(0.5, 0.0, default_params) > 0.0
 
 
 class TestProgramFromCsv(object):
