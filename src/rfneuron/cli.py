@@ -9,9 +9,17 @@ Subcommands map one-to-one onto the characterization experiments:
     montecarlo  die-to-die variability statistics
 
 All outputs are plain CSV/JSON plus a YAML dump of the effective
-configuration.  Exit codes: 0 success, 1 configuration error (including a
-scripted acknowledge list too short for the run), 2 numeric diagnostic (a
-voltage-guard overflow flag was raised), 3 I/O error.
+configuration.  Exit codes:
+
+    0  success
+    1  configuration error, including a scripted acknowledge list too short
+       for the run and a mismatch model that yields no valid Monte-Carlo die
+    2  numeric diagnostic: a voltage-guard overflow flag was raised, or a
+       reported metric is undefined (e.g. ``sweep-bias`` with fewer than 2
+       measurable points)
+    3  I/O error
+
+Each failure above except an overflow flag prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .analysis import tuning_map, fi_curve
 from .config import ExperimentConfig, dump_effective_config, load_config
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, UndefinedMetricError
 from .handshake import events_to_csv, events_to_json
 from .experiments import linear_fit, run_bias_sweep, run_chirp, run_ringdown
 from .montecarlo import run_population
@@ -199,6 +207,9 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UndefinedMetricError as exc:
+        print(f"undefined metric: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

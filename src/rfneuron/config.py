@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .core import CircuitParams
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .handshake import AckMode, HandshakeConfig
 from .integrator import IntegratorConfig
 from .montecarlo import MismatchModel
@@ -42,6 +42,7 @@ class MonteCarloSetup:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n_dies < 2:
             raise ConfigError("montecarlo needs n_dies >= 2")
         if self.workers < 1:
@@ -90,9 +91,9 @@ def _build(cls, section: dict, name: str):
                 )
         if key == "ack_delays" and isinstance(value, list):
             value = tuple(float(v) for v in value)
-        if key == "model" and isinstance(value, dict):
+        if key == "model":
             value = _build(MismatchModel, value, f"{name}.model")
-        if key == "integrator" and isinstance(value, dict):
+        if key == "integrator":
             value = _build(IntegratorConfig, value, f"{name}.integrator")
         kwargs[key] = value
     try:
@@ -136,8 +137,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     hs_section.setdefault("T_spk", neuron.T_spk)
     handshake = _build(HandshakeConfig, hs_section, "handshake")
 
+    # ringdown.integrator keys override the top-level integrator field by field
     rd_section = dict(raw.get("ringdown", {}))
-    rd_section.setdefault("integrator", dataclasses.asdict(integ))
+    rd_integ = rd_section.get("integrator", {})
+    if isinstance(rd_integ, dict):
+        rd_section["integrator"] = {**dataclasses.asdict(integ), **rd_integ}
     ringdown = _build(RingdownSetup, rd_section, "ringdown")
 
     fi = _build(FISetup, raw.get("fi", {}), "fi")

@@ -20,8 +20,9 @@ shareable across concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from numbers import Real
 
 from .errors import require_finite
 
@@ -89,6 +90,12 @@ class CircuitParams:
     I_n0_beta: float | None = 20.5e-15  # A, V-branch override (comparator margin)
 
     def __post_init__(self) -> None:
+        # numpy scalars (e.g. from mismatch sampling) would slow every
+        # derivative evaluation that reads these fields
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Real):
+                object.__setattr__(self, f.name, float(value))
         require_finite(self)
         positive = {
             "C1": self.C1, "C2": self.C2, "I_n0": self.I_n0,

@@ -22,7 +22,7 @@ from .analysis import (
     FREQ_CONSISTENCY_TOL,
 )
 from .core import CircuitParams, NeuronState, Phase, derive_params
-from .errors import UndefinedMetricError
+from .errors import UndefinedMetricError, require_finite
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import Polarity, StimulusProgram, pulse, spiking_chirp
@@ -39,9 +39,9 @@ __all__ = [
     "linear_fit",
 ]
 
-# Steps per nominal period maintained by sweep runners (1 us at the 150 pA
-# operating point).
-SWEEP_STEPS_PER_PERIOD = 4500.0
+# Steps per nominal period maintained by sweep runners (10 us at the 150 pA
+# operating point); they record every 5th step, i.e. every period/90.
+SWEEP_STEPS_PER_PERIOD = 450.0
 
 # Periods of ringdown simulated by sweep runners (0.3 s at 150 pA).
 SWEEP_PERIODS = 66.5
@@ -57,7 +57,10 @@ class RingdownSetup:
     polarity: Polarity = Polarity.INH
     horizon: float = 0.3
     settle_window: float = 0.05
-    integrator: IntegratorConfig = IntegratorConfig(dt=1e-6, t_end=0.3, sample_stride=50)
+    integrator: IntegratorConfig = IntegratorConfig()
+
+    def __post_init__(self) -> None:
+        require_finite(self)
 
     def program(self, v_limit: float) -> StimulusProgram:
         return pulse(self.t0, self.width, self.amplitude, self.polarity, v_limit=v_limit)
@@ -91,8 +94,11 @@ class ChirpSetup:
     vth_max: float = 0.900
     vth_anchor_min: float = 105e-12
     vth_anchor_max: float = 255e-12
-    dt: float = 1e-6
-    sample_stride: int = 50
+    dt: float = IntegratorConfig.dt
+    sample_stride: int = IntegratorConfig.sample_stride
+
+    def __post_init__(self) -> None:
+        require_finite(self)
 
     def program(self, v_limit: float) -> StimulusProgram:
         return spiking_chirp(
@@ -135,6 +141,9 @@ class SweepSetup:
     amplitude: float = 0.4
     width: float = 100e-6
 
+    def __post_init__(self) -> None:
+        require_finite(self)
+
     def levels(self) -> list[float]:
         return list(np.geomspace(self.I_min, self.I_max, self.n_points))
 
@@ -149,6 +158,9 @@ class FISetup:
     spikes_per_point: int = 100
     V_th: float = 0.840
     timeout: float = 1.0
+
+    def __post_init__(self) -> None:
+        require_finite(self)
 
     def levels(self) -> list[float]:
         return list(np.linspace(self.level_min, self.level_max, self.n_levels))
@@ -252,7 +264,7 @@ def run_bias_sweep(
             amplitude=setup.amplitude,
             horizon=horizon,
             settle_window=horizon / 6.0,
-            integrator=IntegratorConfig(dt=dt, t_end=horizon, sample_stride=50),
+            integrator=IntegratorConfig(dt=dt, t_end=horizon, sample_stride=5),
         )
         trace, _, metrics = run_ringdown(p, rd)
         rows.append(
@@ -267,9 +279,14 @@ def run_bias_sweep(
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
-    """Least-squares line y = slope*x + intercept with R^2 and the mid-range y."""
+    """Least-squares line y = slope*x + intercept with R^2 and the mid-range y.
+
+    Fewer than 2 points define no line and raise :class:`UndefinedMetricError`.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(x) < 2:
+        raise UndefinedMetricError(f"a line fit needs at least 2 finite points, got {len(x)}")
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import MetricsRecord
 from .core import CircuitParams, derive_params
-from .errors import require_finite
+from .errors import ConfigError, require_finite
 from .experiments import RingdownSetup, run_ringdown
 
 __all__ = [
@@ -121,8 +121,9 @@ def _sample_die_counted(
         except ValueError:
             continue
         return die, attempt
-    raise RuntimeError(
-        f"die {die_index}: no valid parameter draw in {_MAX_RESAMPLES_PER_DIE} attempts"
+    raise ConfigError(
+        f"die {die_index}: no valid parameter draw in {_MAX_RESAMPLES_PER_DIE} attempts; "
+        "the mismatch model admits no valid die around this neuron"
     )
 
 
@@ -133,7 +134,8 @@ def sample_die(base: CircuitParams, m: MismatchModel, die_index: int) -> Circuit
     currents and the damping residue; Gaussian relative factors perturb
     C1, C2 and the two bias currents.  Deterministic per (seed, die_index);
     draws violating the parameter invariants are rejected and redrawn from
-    the same per-die stream.
+    the same per-die stream, and :class:`ConfigError` is raised when no
+    valid draw turns up.
     """
     return _sample_die_counted(base, m, die_index)[0]
 

@@ -10,8 +10,9 @@ import yaml
 
 from rfneuron import CircuitParams, HandshakeConfig, IntegratorConfig, MismatchModel, cli
 from rfneuron.cli import main
-from rfneuron.config import dump_effective_config, load_config
-from rfneuron.errors import ConfigError
+from rfneuron.config import MonteCarloSetup, dump_effective_config, load_config
+from rfneuron.errors import ConfigError, UndefinedMetricError
+from rfneuron.experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup
 
 FAST_CONFIG = """
 integrator:
@@ -78,6 +79,11 @@ def _captured_cfg(monkeypatch, name: str, argv: list[str]) -> IntegratorConfig:
     pytest.param(lambda: HandshakeConfig(T_spk=math.nan), id="HandshakeConfig.T_spk"),
     pytest.param(lambda: HandshakeConfig(ack_delays=(0.0, math.nan)),
                  id="HandshakeConfig.ack_delays"),
+    pytest.param(lambda: RingdownSetup(horizon=math.nan), id="RingdownSetup.horizon"),
+    pytest.param(lambda: ChirpSetup(dt=math.nan), id="ChirpSetup.dt"),
+    pytest.param(lambda: FISetup(timeout=math.inf), id="FISetup.timeout"),
+    pytest.param(lambda: SweepSetup(I_max=math.nan), id="SweepSetup.I_max"),
+    pytest.param(lambda: MonteCarloSetup(amplitude=math.nan), id="MonteCarloSetup.amplitude"),
 ])
 def test_non_finite_values_rejected(build):
     with pytest.raises(ValueError, match="finite"):
@@ -88,7 +94,7 @@ class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config()
         assert cfg.neuron.V_th == 0.850
-        assert cfg.integrator.dt == 1e-6
+        assert (cfg.integrator.dt, cfg.integrator.sample_stride) == (1e-5, 5)
         assert cfg.handshake.T_spk == cfg.neuron.T_spk
 
     def test_sections_override_defaults(self, fast_config):
@@ -121,6 +127,20 @@ class TestLoadConfig:
                                            "integrator.dt": 5e-7})
         assert cfg.montecarlo.model.seed == 5
         assert cfg.integrator.dt == 5e-7
+
+    def test_ringdown_integrator_overrides_field_by_field(self, tmp_path):
+        path = tmp_path / "steps.yaml"
+        path.write_text("integrator: {sample_stride: 25, t_end: 0.06}\n")
+        # the overrides that `--dt 2e-6` applies
+        overrides = {"integrator.dt": 2e-6, "ringdown.integrator.dt": 2e-6, "chirp.dt": 2e-6}
+        rd = load_config(path, overrides).ringdown.integrator
+        assert (rd.dt, rd.t_end, rd.sample_stride) == (2e-6, 0.06, 25)
+
+    def test_non_mapping_ringdown_integrator_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("ringdown:\n  integrator: 5\n")
+        with pytest.raises(ConfigError, match="mapping"):
+            load_config(path)
 
     def test_effective_dump_round_trips(self, tmp_path):
         cfg = load_config()
@@ -201,6 +221,40 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("protocol error: scripted acknowledge list exhausted")
+        assert err.count("\n") == 1
+
+    def test_undefined_metric_exit_code(self, fast_config, tmp_path, monkeypatch, capsys):
+        def no_peaks(*args, **kwargs):
+            raise UndefinedMetricError("no local maximum after the stimulus")
+
+        monkeypatch.setattr(cli, "run_ringdown", no_peaks)
+        rc = main(["ringdown", "--config", str(fast_config), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "undefined metric: no local maximum after the stimulus\n"
+
+    def test_sweep_with_one_point_exit_code(self, tmp_path, capsys):
+        doc = yaml.safe_load(FAST_CONFIG)
+        doc["sweep"]["n_points"] = 1
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["sweep-bias", "--config", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("undefined metric: a line fit needs at least 2 finite points, got 1")
+        assert err.count("\n") == 1
+
+    def test_exhausted_mismatch_resampling_exit_code(self, tmp_path, capsys):
+        # I_IV below the alpha-branch process current admits no valid die
+        path = tmp_path / "mc.yaml"
+        path.write_text(
+            "neuron: {I_IV: 4.0e-14}\n"
+            "montecarlo:\n  n_dies: 2\n  model: {sigma_ln_In0_alpha: 0.0, sigma_ln_In0_beta: 0.0,"
+            " sigma_C: 0.0, sigma_I_bias: 0.0, sigma_ln_g_damp: 0.0}\n"
+        )
+        rc = main(["montecarlo", "--config", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: die 0: no valid parameter draw in 1000 attempts")
         assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path):

@@ -33,6 +33,11 @@ class TestSampleDie:
         assert die.In0_alpha == base.In0_alpha
         assert die.In0_beta == base.In0_beta
 
+    def test_sampled_fields_are_python_floats(self):
+        die = sample_die(CircuitParams(), MismatchModel(seed=42), 0)
+        for f in dataclasses.fields(die):
+            assert type(getattr(die, f.name)) is float, f.name
+
     def test_deterministic_per_seed_and_index(self):
         base = CircuitParams()
         m = MismatchModel(seed=42)
