@@ -43,7 +43,6 @@ from .analysis import (
     extract_first_peak,
     fi_curve,
     q_factor,
-    resonant_frequency,
     tuning_map,
 )
 from .experiments import (

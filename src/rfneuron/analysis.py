@@ -33,7 +33,6 @@ __all__ = [
     "PEAK_MIN_PROMINENCE",
     "extract_baseline",
     "extract_first_peak",
-    "resonant_frequency",
     "resonant_frequency_estimates",
     "q_factor",
     "fi_curve",
@@ -118,10 +117,6 @@ class TuningMap:
             fh.write("\n")
 
 
-def _oscillate_mask(tr: Trace) -> np.ndarray:
-    return ~tr.clamped
-
-
 def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
     """Mean (U, V) over the final ``settle_window`` seconds of the trace.
 
@@ -176,7 +171,7 @@ def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
     The channels are scanned independently; a channel with no detectable
     peak (constant or monotone tail) raises :class:`UndefinedMetricError`.
     """
-    sel = (tr.t >= t_stim_end) & _oscillate_mask(tr)
+    sel = (tr.t >= t_stim_end) & ~tr.clamped
     if np.count_nonzero(sel) < 3:
         raise UndefinedMetricError("not enough post-stimulus samples for peak search")
     t = tr.t[sel]
@@ -213,7 +208,7 @@ def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
 
 def resonant_frequency_estimates(tr: Trace) -> tuple[float, float]:
     """(median inter-peak estimate, spectral estimate) of the V oscillation."""
-    sel = _oscillate_mask(tr)
+    sel = ~tr.clamped
     t, v = tr.t[sel], tr.V[sel]
     times, _ = _channel_peaks(t, v)
     if len(times) < 3:
@@ -224,23 +219,7 @@ def resonant_frequency_estimates(tr: Trace) -> tuple[float, float]:
     return f_peaks, f_fft
 
 
-def resonant_frequency(tr: Trace) -> float:
-    """Resonant frequency from peak intervals, cross-checked spectrally.
-
-    Returns the median inverse inter-peak interval of V.  Disagreement with
-    the spectral estimate beyond 2% raises :class:`UndefinedMetricError`
-    so inconsistent records surface as flagged rather than numeric.
-    """
-    f_peaks, f_fft = resonant_frequency_estimates(tr)
-    if abs(f_peaks - f_fft) > FREQ_CONSISTENCY_TOL * f_peaks:
-        raise UndefinedMetricError(
-            f"frequency estimators disagree: intervals {f_peaks:.6g} Hz vs "
-            f"spectrum {f_fft:.6g} Hz"
-        )
-    return f_peaks
-
-
-def q_factor(tr: Trace, settle_window: float | None = None) -> float:
+def q_factor(tr: Trace) -> float:
     """Quality factor from the exponential decay of the V peak envelope.
 
     Fits ln(peak - baseline) against peak time; the negative reciprocal of
@@ -257,7 +236,7 @@ def q_factor(tr: Trace, settle_window: float | None = None) -> float:
     trace with fewer than 5 usable peaks raises
     :class:`UndefinedMetricError`.
     """
-    sel = _oscillate_mask(tr)
+    sel = ~tr.clamped
     t, v = tr.t[sel], tr.V[sel]
     peak_t, peak_v = _channel_peaks(t, v)
     trough_t, trough_v = _channel_peaks(t, -v)

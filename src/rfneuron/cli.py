@@ -36,7 +36,7 @@ import numpy as np
 from .analysis import tuning_map, fi_curve
 from .config import ExperimentConfig, dump_effective_config, load_config
 from .errors import ConfigError, ProtocolError, UndefinedMetricError
-from .handshake import events_to_csv, events_to_json
+from .handshake import events_to_csv
 from .experiments import linear_fit, run_bias_sweep, run_chirp, run_ringdown
 from .montecarlo import run_population
 
@@ -72,13 +72,8 @@ def cmd_ringdown(args) -> int:
     out = _prepare_outdir(args)
     trace, events, metrics = run_ringdown(cfg.neuron, cfg.ringdown, cfg.handshake)
     trace.to_csv(out / "ringdown_trace.csv")
-    with open(out / "ringdown_phase.csv", "w") as fh:
-        fh.write("U_V,V_V\n")
-        for u, v in zip(trace.U, trace.V):
-            fh.write(f"{u:.12g},{v:.12g}\n")
     metrics.to_json(out / "ringdown_metrics.json")
     events_to_csv(events, out / "ringdown_events.csv")
-    events_to_json(events, out / "ringdown_events.json")
     _write_provenance(cfg, out)
     print(f"ringdown: baseline_U={metrics.baseline_U:.6g} V, "
           f"f_res={metrics.f_res:.6g} Hz, Q={metrics.q_factor:.6g}, "

@@ -2,9 +2,10 @@
 
 A config file holds named sections (neuron, integrator, handshake,
 ringdown, fi, chirp, sweep, montecarlo); every key is optional and
-defaults to the calibrated values.  All sections are validated by the
-target types' own invariants before any simulation starts, and every run
-writes the fully-defaulted effective configuration next to its outputs.
+defaults to the calibrated values, so an empty section stands for all of
+its defaults.  All sections are validated by the target types' own
+invariants before any simulation starts, and every run writes the
+fully-defaulted effective configuration next to its outputs.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             loaded = {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"config root must be a mapping: {path}")
-        raw = loaded
+        # an empty section (`ringdown:` with no keys) loads as None
+        raw = {key: {} if value is None else value for key, value in loaded.items()}
     sections = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in raw:
         if key not in sections:

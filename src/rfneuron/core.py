@@ -20,11 +20,12 @@ shareable across concurrent runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from numbers import Real
 
-from .errors import require_finite
+from .errors import ConfigError, require_finite
 
 __all__ = [
     "Phase",
@@ -42,6 +43,9 @@ __all__ = [
 # Node voltages are clamped to this window inside the exponentials so that a
 # pathological configuration saturates instead of overflowing float64.
 VOLTAGE_GUARD_MARGIN = 0.2
+
+# Largest argument math.exp takes without raising OverflowError.
+_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 class Phase(Enum):
@@ -118,6 +122,13 @@ class CircuitParams:
             raise ValueError(
                 "voltage ordering 0 < V_reset < V_th < V_DD violated: "
                 f"V_reset={self.V_reset!r}, V_th={self.V_th!r}, V_DD={self.V_DD!r}"
+            )
+        # the branch exponentials see at most v_max_guard, the synapses at most V_DD
+        exp_args = (self.exp_slope * self.v_max_guard, self.kappa_n / self.U_T * self.V_DD)
+        if max(exp_args) > _EXP_ARG_MAX:
+            raise ValueError(
+                f"U_T={self.U_T!r} too small for V_DD={self.V_DD!r}: "
+                "the branch or synapse exponentials overflow float64"
             )
 
     @property
@@ -215,16 +226,16 @@ def derive_params(p: CircuitParams, I_in: float = 0.0) -> DerivedParams:
 
     Raises
     ------
-    ValueError
+    ConfigError
         If a branch bias does not exceed its process current, in which case
         the equilibrium logarithm has no positive argument.
     """
     a = p.exp_slope
     I_beta_star = p.I_IU + I_in
     if p.I_IV <= p.In0_alpha:
-        raise ValueError(f"I_IV={p.I_IV!r} must exceed the alpha-branch I_n0={p.In0_alpha!r}")
+        raise ConfigError(f"I_IV={p.I_IV!r} must exceed the alpha-branch I_n0={p.In0_alpha!r}")
     if I_beta_star <= p.In0_beta:
-        raise ValueError(
+        raise ConfigError(
             f"I_IU + I_in = {I_beta_star!r} must exceed the beta-branch I_n0={p.In0_beta!r}"
         )
     U_star = math.log(p.I_IV / p.In0_alpha) / a

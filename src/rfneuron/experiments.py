@@ -22,7 +22,7 @@ from .analysis import (
     FREQ_CONSISTENCY_TOL,
 )
 from .core import CircuitParams, NeuronState, Phase, derive_params
-from .errors import UndefinedMetricError, require_finite
+from .errors import ConfigError, UndefinedMetricError, require_finite
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import Polarity, StimulusProgram, pulse, spiking_chirp
@@ -161,6 +161,11 @@ class FISetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        if self.n_levels > 1 and not self.level_min < self.level_max:
+            raise ConfigError(
+                f"fi levels must increase: level_min={self.level_min!r} "
+                f"must be below level_max={self.level_max!r}"
+            )
 
     def levels(self) -> list[float]:
         return list(np.linspace(self.level_min, self.level_max, self.n_levels))
@@ -192,7 +197,7 @@ def ringdown_metrics(
         flags.append("f-res-undefined")
     q = math.nan
     try:
-        q = q_factor(tr, settle_window)
+        q = q_factor(tr)
         if math.isinf(q):
             flags.append("infinite-q")
     except UndefinedMetricError:

@@ -11,7 +11,6 @@ comparator de-asserts, i.e. after V has fallen back below threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +29,6 @@ __all__ = [
     "FiringRate",
     "firing_rate",
     "events_to_csv",
-    "events_to_json",
 ]
 
 
@@ -124,18 +122,13 @@ class HandshakeFSM:
         self._pending = None
         return NeuronState(t=e.t_release, U=self.V_reset, V=self.V_th, phase=Phase.OSCILLATE)
 
-    @property
-    def in_handshake(self) -> bool:
-        return self._pending is not None
-
 
 @dataclass(frozen=True)
 class FiringRate:
-    """Inverse inter-spike-interval statistics over an observation window."""
+    """Inverse inter-spike-interval statistics of one event list."""
 
     mean_hz: float
     std_hz: float
-    n_events: int
     n_intervals: int
 
     @property
@@ -144,49 +137,25 @@ class FiringRate:
         return self.n_intervals >= 1
 
 
-def firing_rate(events: Sequence[SpikeEvent], window: float | None = None) -> FiringRate:
+def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
     """Mean and standard deviation of inverse inter-spike intervals.
 
-    ``window`` restricts the estimate to events whose request time falls in
-    the trailing window ending at the last event; ``None`` uses all events.
-    With fewer than two retained events there is no interval to invert and
-    the rate is reported as 0 Hz with ``defined`` False.
+    With fewer than two events there is no interval to invert and the rate
+    is reported as 0 Hz with ``defined`` False.
     """
-    if window is not None and window <= 0.0:
-        raise ValueError(f"window must be positive, got {window!r}")
-    times = [e.t_req for e in events]
-    if window is not None and times:
-        cutoff = times[-1] - window
-        times = [t for t in times if t >= cutoff]
-    if len(times) < 2:
-        return FiringRate(mean_hz=0.0, std_hz=math.nan, n_events=len(times), n_intervals=0)
-    isis = np.diff(np.asarray(times))
-    rates = 1.0 / isis
+    if len(events) < 2:
+        return FiringRate(mean_hz=0.0, std_hz=math.nan, n_intervals=0)
+    rates = 1.0 / np.diff(np.asarray([e.t_req for e in events]))
     return FiringRate(
         mean_hz=float(np.mean(rates)),
         std_hz=float(np.std(rates)),
-        n_events=len(times),
         n_intervals=len(rates),
     )
 
 
-def _fmt(x: float) -> str:
-    """Timestamps serialized to 12 significant digits."""
-    return f"{x:.12g}"
-
-
 def events_to_csv(events: Iterable[SpikeEvent], path) -> None:
+    """Write events with timestamps to 12 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write("index,t_req_s,t_release_s\n")
         for e in events:
-            fh.write(f"{e.index},{_fmt(e.t_req)},{_fmt(e.t_release)}\n")
-
-
-def events_to_json(events: Iterable[SpikeEvent], path) -> None:
-    records = [
-        {"index": e.index, "t_req_s": float(_fmt(e.t_req)), "t_release_s": float(_fmt(e.t_release))}
-        for e in events
-    ]
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+            fh.write(f"{e.index},{e.t_req:.12g},{e.t_release:.12g}\n")

@@ -88,8 +88,6 @@ class Trace:
     I_in: np.ndarray
     clamped: np.ndarray
     overflow: np.ndarray
-    dt: float = 0.0
-    sample_stride: int = 1
 
     def __post_init__(self) -> None:
         n = len(self.t)
@@ -177,13 +175,12 @@ class _Recorder:
         self.clamped.append(clamped)
         self.overflow.append(overflow)
 
-    def build(self, dt: float, stride: int) -> Trace:
+    def build(self) -> Trace:
         return Trace(
             t=np.asarray(self.t), U=np.asarray(self.U), V=np.asarray(self.V),
             I_in=np.asarray(self.I),
             clamped=np.asarray(self.clamped, dtype=bool),
             overflow=np.asarray(self.overflow, dtype=bool),
-            dt=dt, sample_stride=stride,
         )
 
 
@@ -341,4 +338,4 @@ def integrate(
             rec.add(t, u, v, I_in, False, out_of_range(u, v))
         idx += 1
 
-    return rec.build(cfg.dt, cfg.sample_stride), fsm.events
+    return rec.build(), fsm.events

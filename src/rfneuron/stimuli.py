@@ -15,7 +15,6 @@ drive injects exactly zero current.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -108,11 +107,6 @@ class StimulusProgram:
     def is_constant(self) -> bool:
         return len(self._segments) == 1
 
-    @property
-    def duration(self) -> float:
-        """Start of the trailing open-ended segment (0 for constant programs)."""
-        return self._starts[-1]
-
     def segment_at(self, t: float) -> Segment:
         """Segment whose half-open interval [t_start, t_end) contains ``t``."""
         idx = bisect.bisect_right(self._starts, t) - 1
@@ -131,33 +125,6 @@ class StimulusProgram:
         if not self._block_starts:
             raise ValueError("block_index requires a chirp program with frequency blocks")
         return max(bisect.bisect_right(self._block_starts, t) - 1, 0)
-
-    @classmethod
-    def from_csv(cls, path, v_limit: float = 1.5) -> "StimulusProgram":
-        """Load an arbitrary program from rows of (t_start, t_end, V_exc, V_inh).
-
-        The last row may use ``inf`` for t_end; otherwise a trailing
-        zero-drive segment is appended automatically.
-        """
-        rows: list[tuple[float, float, float, float]] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    rows.append(tuple(float(x) for x in row[:4]))  # type: ignore[arg-type]
-                except ValueError:
-                    if rows:
-                        raise ConfigError(f"malformed stimulus row: {row!r}")
-                    continue  # header line
-        if not rows:
-            raise ConfigError(f"no stimulus rows found in {path}")
-        segments = [Segment(t0, t1, ve, vi) for t0, t1, ve, vi in rows]
-        if not math.isinf(segments[-1].t_end):
-            tail = segments[-1].t_end
-            segments.append(Segment(tail, math.inf, 0.0, 0.0))
-        return cls(segments, v_limit=v_limit)
 
 
 def _onoff(spans: list[tuple[float, float]], amplitude: float, polarity: Polarity,
@@ -233,15 +200,13 @@ def spiking_chirp(
     amplitude: float,
     polarity: Polarity = Polarity.INH,
     v_limit: float = 1.5,
-    geometric: bool = True,
 ) -> StimulusProgram:
     """Pulse-train chirp stepping through ``n_freqs`` frequencies.
 
     Each block holds ``spikes_per_freq`` pulses at its frequency, so the
     block lasts spikes_per_freq / f and the program's total duration is the
-    sum of block lengths.  Frequencies are geometrically spaced by default
-    (one octave split into equal ratio steps reads as a chromatic scale);
-    ``geometric=False`` selects linear spacing.
+    sum of block lengths.  Frequencies are geometrically spaced (one octave
+    split into equal ratio steps reads as a chromatic scale).
     """
     if not f_start < f_end:
         raise ConfigError("chirp needs f_start < f_end")
@@ -256,12 +221,9 @@ def spiking_chirp(
 
     if n_freqs == 1:
         freqs = [f_start]
-    elif geometric:
+    else:
         ratio = (f_end / f_start) ** (1.0 / (n_freqs - 1))
         freqs = [f_start * ratio**k for k in range(n_freqs)]
-    else:
-        df = (f_end - f_start) / (n_freqs - 1)
-        freqs = [f_start + df * k for k in range(n_freqs)]
 
     spans: list[tuple[float, float]] = []
     blocks: list[FrequencyBlock] = []

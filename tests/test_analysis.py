@@ -18,12 +18,12 @@ from rfneuron import (
     fi_curve,
     integrate,
     q_factor,
-    resonant_frequency,
     spiking_chirp,
     step,
     tuning_map,
 )
 from rfneuron.analysis import TuningMap, resonant_frequency_estimates
+from rfneuron.experiments import ringdown_metrics
 from rfneuron.stimuli import Polarity
 
 
@@ -46,7 +46,6 @@ def synthetic_ringdown(f=170.0, q=129.0, baseline=0.75, amp=0.05,
     return Trace(
         t=t, U=x.copy(), V=x.copy(), I_in=np.zeros(n),
         clamped=np.zeros(n, dtype=bool), overflow=np.zeros(n, dtype=bool),
-        dt=1.0 / fs, sample_stride=1,
     )
 
 
@@ -110,13 +109,13 @@ class TestExtractFirstPeak:
 class TestResonantFrequency:
     def test_170hz_oracle(self):
         tr = synthetic_ringdown(f=170.0, q=129.0)
-        assert resonant_frequency(tr) == pytest.approx(170.0, rel=5e-3)
+        assert resonant_frequency_estimates(tr)[0] == pytest.approx(170.0, rel=5e-3)
 
     @pytest.mark.parametrize("f", [10.0, 50.0, 170.0, 600.0, 2000.0])
     @pytest.mark.parametrize("q", [5.0, 50.0, 500.0])
     def test_estimator_consistency_grid(self, f, q):
         tr = synthetic_ringdown(f=f, q=q, amp=0.03)
-        est = resonant_frequency(tr)
+        est = resonant_frequency_estimates(tr)[0]
         assert est == pytest.approx(f, rel=0.02)
         qm = q_factor(tr)
         assert qm == pytest.approx(q, rel=0.02)
@@ -129,13 +128,43 @@ class TestResonantFrequency:
     def test_insufficient_peaks_undefined(self):
         tr = synthetic_ringdown(amp=0.0)
         with pytest.raises(UndefinedMetricError):
-            resonant_frequency(tr)
+            resonant_frequency_estimates(tr)
 
     def test_sampling_rate_insensitivity(self):
         f = 170.0
-        a = resonant_frequency(synthetic_ringdown(f=f, fs=300 * f))
-        b = resonant_frequency(synthetic_ringdown(f=f, fs=600 * f))
+        a = resonant_frequency_estimates(synthetic_ringdown(f=f, fs=300 * f))[0]
+        b = resonant_frequency_estimates(synthetic_ringdown(f=f, fs=600 * f))[0]
         assert abs(a - b) / a < 1e-3
+
+
+class TestFrequencyCrossCheck:
+    @staticmethod
+    def burst_in_weak_ring(fs=50e3):
+        """A weak 150 Hz ring with a strong 10-cycle 200 Hz burst in its middle.
+
+        Most peak intervals belong to the weak ring, while the burst, where
+        the Hann taper is near 1, dominates the spectrum.  (A burst at the
+        start of the trace would sit under the taper's zero.)
+        """
+        def ring(f, amp, cycles):
+            t = np.arange(0.0, cycles / f, 1.0 / fs)
+            return amp * np.sin(2 * math.pi * f * t)
+
+        x = 0.75 + np.concatenate(
+            [ring(150.0, 0.002, 20), ring(200.0, 0.05, 10), ring(150.0, 0.002, 20)]
+        )
+        n = len(x)
+        return Trace(t=np.arange(n) / fs, U=x.copy(), V=x.copy(), I_in=np.zeros(n),
+                     clamped=np.zeros(n, dtype=bool), overflow=np.zeros(n, dtype=bool))
+
+    def test_disagreeing_estimators_are_flagged(self):
+        tr = self.burst_in_weak_ring()
+        f_peaks, f_fft = resonant_frequency_estimates(tr)
+        assert f_peaks == pytest.approx(150.0, rel=1e-3)
+        assert f_fft == pytest.approx(200.0, rel=1e-2)
+        m = ringdown_metrics(tr, t_stim_end=0.0, settle_window=0.05)
+        assert "freq-estimators-disagree" in m.flags
+        assert m.f_res == f_peaks
 
 
 class TestQFactor:

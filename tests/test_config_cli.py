@@ -1,16 +1,24 @@
 """Config parsing/validation, effective-config provenance, CLI surfaces."""
 
+import contextlib
+import dataclasses
 import filecmp
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfneuron import CircuitParams, HandshakeConfig, IntegratorConfig, MismatchModel, cli
 from rfneuron.cli import main
-from rfneuron.config import MonteCarloSetup, dump_effective_config, load_config
+from rfneuron.config import (
+    ExperimentConfig, MonteCarloSetup, dump_effective_config, load_config,
+)
 from rfneuron.errors import ConfigError, UndefinedMetricError
 from rfneuron.experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup
 
@@ -142,6 +150,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mapping"):
             load_config(path)
 
+    def test_empty_sections_load_as_defaults(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("".join(f"{f.name}:\n" for f in dataclasses.fields(ExperimentConfig)))
+        assert load_config(path) == load_config()
+
     def test_effective_dump_round_trips(self, tmp_path):
         cfg = load_config()
         path = tmp_path / "eff.yaml"
@@ -155,9 +168,8 @@ class TestCli:
         out = tmp_path / "out"
         rc = main(["ringdown", "--config", str(fast_config), "--outdir", str(out)])
         assert rc == 0
-        for name in ("ringdown_trace.csv", "ringdown_phase.csv",
-                     "ringdown_metrics.json", "ringdown_events.csv",
-                     "ringdown_events.json", "effective_config.yaml"):
+        for name in ("ringdown_trace.csv", "ringdown_metrics.json",
+                     "ringdown_events.csv", "effective_config.yaml"):
             assert (out / name).exists()
         metrics = json.loads((out / "ringdown_metrics.json").read_text())
         assert abs(metrics["baseline_U"] - 0.7236) < 5e-3
@@ -257,6 +269,26 @@ class TestCli:
         assert err.startswith("config error: die 0: no valid parameter draw in 1000 attempts")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["ringdown", "fi", "chirp"])
+    def test_invalid_operating_point_exit_code(self, command, tmp_path, capsys):
+        # I_IV below the alpha-branch process current has no equilibrium
+        path = tmp_path / "op.yaml"
+        path.write_text(FAST_CONFIG + "neuron: {I_IV: 4.0e-14}\n")
+        rc = main([command, "--config", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: I_IV=4e-14 must exceed the alpha-branch I_n0")
+        assert err.count("\n") == 1
+
+    def test_reversed_fi_levels_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "fi.yaml"
+        path.write_text("fi: {level_min: 0.5, level_max: 0.4}\n")
+        rc = main(["fi", "--config", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid config section 'fi': fi levels must increase")
+        assert err.count("\n") == 1
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("neuron:\n  V_reset: 0.9\n")
@@ -279,3 +311,41 @@ class TestCli:
         for name in ("ringdown_trace.csv", "ringdown_metrics.json",
                      "effective_config.yaml"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
+
+
+_DEFAULT_NEURON = CircuitParams()
+# every field; I_n0_alpha, None by default, is drawn around the shared I_n0
+_NEURON_FIELDS = {
+    f.name: getattr(_DEFAULT_NEURON, f.name) or _DEFAULT_NEURON.I_n0
+    for f in dataclasses.fields(CircuitParams)
+}
+
+
+def _around(default: float):
+    """Up to four decades either side of ``default``, or an invalid 0 or negative value."""
+    return st.one_of(
+        st.floats(-4.0, 4.0).map(lambda e: default * 10.0**e),
+        st.sampled_from([0.0, -default]),
+    )
+
+
+_neuron_sections = st.lists(
+    st.sampled_from(sorted(_NEURON_FIELDS)), max_size=3, unique=True
+).flatmap(lambda names: st.fixed_dictionaries({n: _around(_NEURON_FIELDS[n]) for n in names}))
+
+
+@given(_neuron_sections)
+@example({"I_IV": 4.0e-14})  # no equilibrium: derive_params rejects it
+@example({"U_T": 4.0e-4, "C1": 1.2e-11, "C2": 1.2e-11})  # the synapse exponential overflows
+@settings(max_examples=30, deadline=None)
+def test_any_neuron_section_ends_in_a_documented_exit_code(neuron):
+    """A short ringdown on any neuron section exits 0-3 with at most one stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "neuron.yaml"
+        doc = {"neuron": neuron, "ringdown": {"horizon": 0.02, "settle_window": 0.005}}
+        path.write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["ringdown", "--config", str(path), "--outdir", str(Path(tmp) / "o")])
+    assert rc in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1

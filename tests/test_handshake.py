@@ -1,6 +1,5 @@
 """Four-phase handshake FSM, spike events, rate statistics, serialization."""
 
-import json
 import math
 
 import pytest
@@ -16,7 +15,7 @@ from rfneuron import (
     SpikeEvent,
     firing_rate,
 )
-from rfneuron.handshake import HandshakeFSM, events_to_csv, events_to_json
+from rfneuron.handshake import HandshakeFSM, events_to_csv
 
 
 def make_fsm(cfg=None):
@@ -125,18 +124,6 @@ class TestFiringRate:
         assert r.mean_hz == 0.0
         assert not r.defined
 
-    def test_window_restricts_to_trailing_events(self):
-        # two slow events followed by a fast regular train
-        events = [SpikeEvent(0, 0.0, 1e-4), SpikeEvent(1, 0.5, 0.5001)]
-        events += [SpikeEvent(2 + i, 0.6 + i * 1e-2, 0.6 + i * 1e-2 + 1e-4)
-                   for i in range(5)]
-        r = firing_rate(events, window=0.05)
-        assert r.mean_hz == pytest.approx(100.0, rel=1e-9)
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            firing_rate([], window=0.0)
-
 
 class TestSerialization:
     def test_csv_has_12_significant_digits(self, tmp_path):
@@ -146,14 +133,6 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,t_req_s,t_release_s"
         assert lines[1].split(",")[1] == "0.333333333333"
-
-    def test_json_round_trip(self, tmp_path):
-        events = [SpikeEvent(0, 1e-3, 1.1e-3), SpikeEvent(1, 5e-3, 5.1e-3)]
-        path = tmp_path / "events.json"
-        events_to_json(events, path)
-        recs = json.loads(path.read_text())
-        assert recs[1]["index"] == 1
-        assert recs[1]["t_req_s"] == pytest.approx(5e-3)
 
 
 class TestConfigValidation:

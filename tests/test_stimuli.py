@@ -112,12 +112,6 @@ class TestSpikingChirp:
         with pytest.raises(ConfigError):
             spiking_chirp(131.0, 262.0, 13, 10, 4e-3, 0.5, Polarity.INH)
 
-    def test_geometric_versus_linear_spacing(self):
-        geo = spiking_chirp(100.0, 400.0, 3, 1, 1e-4, 0.5, geometric=True)
-        lin = spiking_chirp(100.0, 400.0, 3, 1, 1e-4, 0.5, geometric=False)
-        assert geo.freq_blocks[1].frequency == pytest.approx(200.0)
-        assert lin.freq_blocks[1].frequency == pytest.approx(250.0)
-
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
@@ -180,31 +174,3 @@ class TestSynapseCurrent:
 
     def test_excitatory_current_is_positive(self, default_params):
         assert synapse_current(0.5, 0.0, default_params) > 0.0
-
-
-class TestProgramFromCsv(object):
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "prog.csv"
-        path.write_text(
-            "t_start,t_end,V_exc,V_inh\n"
-            "0.0,0.001,0.0,0.0\n"
-            "0.001,0.002,0.3,0.0\n"
-            "0.002,inf,0.0,0.0\n"
-        )
-        prog = StimulusProgram.from_csv(path)
-        assert len(prog.segments) == 3
-        assert prog.drives_at(0.0015) == (0.3, 0.0)
-        assert_tiles(prog)
-
-    def test_appends_trailing_zero_segment(self, tmp_path):
-        path = tmp_path / "prog.csv"
-        path.write_text("0.0,0.001,0.2,0.0\n")
-        prog = StimulusProgram.from_csv(path)
-        assert math.isinf(prog.segments[-1].t_end)
-        assert prog.drives_at(0.5) == (0.0, 0.0)
-
-    def test_gap_rejected(self, tmp_path):
-        path = tmp_path / "prog.csv"
-        path.write_text("0.0,0.001,0.2,0.0\n0.002,inf,0.0,0.0\n")
-        with pytest.raises(ConfigError):
-            StimulusProgram.from_csv(path)
