@@ -156,7 +156,7 @@ def cmd_montecarlo(args) -> int:
     setup = cfg.montecarlo.ringdown(cfg.ringdown)
     stats = run_population(
         cfg.neuron, cfg.montecarlo.model, cfg.montecarlo.n_dies,
-        setup, workers=cfg.montecarlo.workers,
+        setup, workers=cfg.montecarlo.workers, protocol=cfg.handshake,
     )
     stats.to_json(out / "population.json")
     stats.dies_to_csv(out / "dies.csv")

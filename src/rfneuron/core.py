@@ -109,24 +109,24 @@ class CircuitParams:
         }
         for name, value in positive.items():
             if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ConfigError(f"{name} must be strictly positive, got {value!r}")
         for name in ("I_n0_alpha", "I_n0_beta"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive when set, got {value!r}")
+                raise ConfigError(f"{name} must be strictly positive when set, got {value!r}")
         if not 0.0 < self.kappa_n < 1.0:
-            raise ValueError(f"kappa_n must lie in (0, 1), got {self.kappa_n!r}")
+            raise ConfigError(f"kappa_n must lie in (0, 1), got {self.kappa_n!r}")
         if self.g_damp < 0.0:
-            raise ValueError(f"g_damp must be non-negative, got {self.g_damp!r}")
+            raise ConfigError(f"g_damp must be non-negative, got {self.g_damp!r}")
         if not 0.0 < self.V_reset < self.V_th < self.V_DD:
-            raise ValueError(
+            raise ConfigError(
                 "voltage ordering 0 < V_reset < V_th < V_DD violated: "
                 f"V_reset={self.V_reset!r}, V_th={self.V_th!r}, V_DD={self.V_DD!r}"
             )
         # the branch exponentials see at most v_max_guard, the synapses at most V_DD
         exp_args = (self.exp_slope * self.v_max_guard, self.kappa_n / self.U_T * self.V_DD)
         if max(exp_args) > _EXP_ARG_MAX:
-            raise ValueError(
+            raise ConfigError(
                 f"U_T={self.U_T!r} too small for V_DD={self.V_DD!r}: "
                 "the branch or synapse exponentials overflow float64"
             )

@@ -9,6 +9,7 @@ the nominal resonance so every operating point is resolved equally well.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,21 @@ SWEEP_STEPS_PER_PERIOD = 450.0
 SWEEP_PERIODS = 66.5
 
 
+def _require_positive(setup, *names: str) -> None:
+    """Raise ConfigError unless each named field of ``setup`` is above zero."""
+    for name in names:
+        if not getattr(setup, name) > 0.0:
+            raise ConfigError(f"{name} must be positive, got {getattr(setup, name)!r}")
+
+
+def _require_counts(setup, minimum: int, *names: str) -> None:
+    """Raise ConfigError unless each named field is an integer of at least ``minimum``."""
+    for name in names:
+        value = getattr(setup, name)
+        if not (isinstance(value, numbers.Integral) and value >= minimum):
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RingdownSetup:
     """Inhibitory-pulse ringdown protocol and its extraction windows."""
@@ -61,6 +77,9 @@ class RingdownSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        if not 0.0 < self.settle_window <= self.horizon:
+            raise ConfigError(f"settle_window must lie in (0, horizon={self.horizon!r}], "
+                              f"got {self.settle_window!r}")
 
     def program(self, v_limit: float) -> StimulusProgram:
         return pulse(self.t0, self.width, self.amplitude, self.polarity, v_limit=v_limit)
@@ -99,6 +118,14 @@ class ChirpSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        _require_counts(self, 1, "n_freqs", "spikes_per_freq", "n_bias")
+        _require_positive(self, "f_start", "bias_min", "bias_max", "vth_min", "vth_max",
+                          "vth_anchor_min")
+        if not self.vth_anchor_min < self.vth_anchor_max:
+            raise ConfigError(
+                f"vth_anchor_min={self.vth_anchor_min!r} must be below "
+                f"vth_anchor_max={self.vth_anchor_max!r}"
+            )
 
     def program(self, v_limit: float) -> StimulusProgram:
         return spiking_chirp(
@@ -143,6 +170,8 @@ class SweepSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        _require_counts(self, 1, "n_points")
+        _require_positive(self, "I_min", "I_max")
 
     def levels(self) -> list[float]:
         return list(np.geomspace(self.I_min, self.I_max, self.n_points))
@@ -161,6 +190,9 @@ class FISetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        _require_counts(self, 1, "n_levels")
+        _require_counts(self, 2, "spikes_per_point")  # a rate needs one inter-spike interval
+        _require_positive(self, "timeout")
         if self.n_levels > 1 and not self.level_min < self.level_max:
             raise ConfigError(
                 f"fi levels must increase: level_min={self.level_min!r} "

@@ -1,20 +1,22 @@
 """Fixed-step RK4 integration with exact event handling.
 
-The run marches on a uniform grid of step ``dt`` but never integrates across
-a stimulus discontinuity: every program breakpoint becomes a stop, so each
-RK4 substep sees a constant drive and retains its full order.  Threshold
-crossings are bracketed inside a substep and refined by bisection on
-re-integrated partial steps; the handshake FSM then clamps the state until
-its scheduled release, after which integration resumes mid-grid.
+The stops are computed, not stored: grid stop k is ``k * dt``, the last
+stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
+from the grid is an extra stop, so no RK4 substep straddles a drive
+discontinuity and each keeps its full order.  Threshold crossings are
+bracketed inside a substep and refined by bisection on re-integrated partial
+steps.  The handshake hold is resolved at the crossing: the state stays
+clamped on the grid until the FSM's release, or to ``t_end`` if the release
+lies beyond it, and integration then resumes mid-grid.
 
-Traces are recorded on the decimated grid (every ``sample_stride``-th step)
-with extra samples inserted at clamp entry and release so the clamp window
-is exactly delimited in the output.
+Traces hold every ``sample_stride``-th grid stop and ``t_end``, plus samples
+at clamp entry and release that delimit each clamp window exactly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,78 +150,6 @@ def _make_deriv(p: CircuitParams, ref: DerivedParams, I_in: float) -> Deriv:
     return f
 
 
-class _Recorder:
-    """Accumulates trace samples, collapsing duplicate timestamps."""
-
-    def __init__(self) -> None:
-        self.t: list[float] = []
-        self.U: list[float] = []
-        self.V: list[float] = []
-        self.I: list[float] = []
-        self.clamped: list[bool] = []
-        self.overflow: list[bool] = []
-
-    def add(self, t: float, u: float, v: float, i_in: float,
-            clamped: bool, overflow: bool) -> None:
-        if self.t and t <= self.t[-1]:
-            if t == self.t[-1]:
-                # later knowledge of the same instant wins (e.g. clamp at a grid point)
-                self.t.pop(); self.U.pop(); self.V.pop()
-                self.I.pop(); self.clamped.pop(); self.overflow.pop()
-            else:
-                return
-        self.t.append(t)
-        self.U.append(u)
-        self.V.append(v)
-        self.I.append(i_in)
-        self.clamped.append(clamped)
-        self.overflow.append(overflow)
-
-    def build(self) -> Trace:
-        return Trace(
-            t=np.asarray(self.t), U=np.asarray(self.U), V=np.asarray(self.V),
-            I_in=np.asarray(self.I),
-            clamped=np.asarray(self.clamped, dtype=bool),
-            overflow=np.asarray(self.overflow, dtype=bool),
-        )
-
-
-def _build_schedule(cfg: IntegratorConfig, prog: StimulusProgram) -> tuple[np.ndarray, np.ndarray]:
-    """Stop times after t=0 (grid boundaries, breakpoints, horizon) + sample flags."""
-    dt, t_end = cfg.dt, cfg.t_end
-    n_grid = int(math.floor(t_end / dt + _GRID_SNAP))
-    grid_idx = np.arange(1, n_grid + 1)
-    grid = grid_idx * dt
-    is_sample = (grid_idx % cfg.sample_stride) == 0
-    if n_grid == 0 or grid[-1] < t_end * (1.0 - _GRID_SNAP):
-        grid = np.append(grid, t_end)
-        is_sample = np.append(is_sample, True)
-    else:
-        grid[-1] = t_end  # snap the final boundary; always record the end point
-        is_sample[-1] = True
-
-    bps = [b for b in prog.breakpoints if 0.0 < b < t_end * (1.0 - _GRID_SNAP)]
-    if bps:
-        snap = dt * _GRID_SNAP
-        extra = []
-        for b in bps:
-            j = np.searchsorted(grid, b)
-            near = []
-            if j < len(grid):
-                near.append(grid[j])
-            if j > 0:
-                near.append(grid[j - 1])
-            if not any(abs(b - g) <= snap for g in near):
-                extra.append(b)
-        if extra:
-            grid = np.concatenate([grid, np.asarray(extra)])
-            is_sample = np.concatenate([is_sample, np.zeros(len(extra), dtype=bool)])
-            order = np.argsort(grid, kind="stable")
-            grid = grid[order]
-            is_sample = is_sample[order]
-    return grid, is_sample
-
-
 def integrate(
     s0: NeuronState,
     p: CircuitParams,
@@ -228,12 +158,21 @@ def integrate(
     protocol: HandshakeConfig | None = None,
     max_events: int | None = None,
 ) -> tuple[Trace, list[SpikeEvent]]:
-    """Integrate the neuron over [0, t_end] and collect output spike events.
+    """Integrate the neuron from ``s0`` to ``t_end`` and collect output spike events.
 
-    The damping reference is the equilibrium with the program's constant
-    input folded in when the program is a single constant segment; transient
-    programs reference the zero-input equilibrium.
+    ``s0`` must be free-running (``Phase.OSCILLATE``) at a time in
+    [0, t_end), and ``max_events``, when given, at least 1: the run then
+    ends at the crossing of that event.  The damping reference is the
+    equilibrium with the program's constant input folded in when the
+    program is a single constant segment; transient programs reference the
+    zero-input equilibrium.
     """
+    if s0.phase is not Phase.OSCILLATE:
+        raise ValueError("integrate() needs a free-running start state, not a clamped one")
+    if not 0.0 <= s0.t < cfg.t_end:
+        raise ValueError(f"start time {s0.t!r} outside [0, t_end={cfg.t_end!r})")
+    if max_events is not None and max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {max_events!r}")
     if protocol is None:
         protocol = HandshakeConfig(T_spk=p.T_spk)
 
@@ -244,98 +183,98 @@ def integrate(
     ref = derive_params(p, I_in=ref_current)
     cfg.validate_against(ref.f_res)
 
-    stops, stop_is_sample = _build_schedule(cfg, prog)
-    fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
-    rec = _Recorder()
+    # Stop k (1-based) is k*dt; stop `last` is t_end, onto which a grid
+    # point within the snap tolerance below it is merged.
+    dt, t_end, stride = cfg.dt, cfg.t_end, cfg.sample_stride
+    n = math.floor(t_end / dt + _GRID_SNAP)
+    last = n if n and n * dt >= t_end * (1.0 - _GRID_SNAP) else n + 1
+    grid = range(1, last + 1)
 
-    t = s0.t
-    u, v = s0.U, s0.V
-    phase = s0.phase
-    V_th = p.V_th
+    def stop(k: int) -> float:
+        return k * dt if k < last else t_end
+
+    def off_grid(b: float) -> bool:
+        i = bisect_left(grid, b, key=stop)  # stops i and i + 1 bracket b
+        return all(abs(b - stop(k)) > dt * _GRID_SNAP for k in (i, i + 1) if 1 <= k <= last)
+
+    extras = [b for b in prog.breakpoints if 0.0 < b < t_end * (1.0 - _GRID_SNAP) and off_grid(b)]
+    extras.append(math.inf)  # sentinel: never the next stop
+
+    def after(x: float) -> tuple[int, int]:
+        """Indices of the first grid stop and first extra stop later than x * (1 + _GRID_SNAP)."""
+        y = x * (1.0 + _GRID_SNAP)
+        return bisect_right(grid, y, key=stop) + 1, bisect_right(extras, y)
+
+    fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
+    V_reset, V_th = p.V_reset, p.V_th
     vmin, vmax = p.v_min_guard, p.v_max_guard
+    tol = cfg.crossing_tol
 
     def out_of_range(x: float, y: float) -> bool:
         return not (vmin <= x <= vmax and vmin <= y <= vmax)
 
-    # Current constant-drive span and its derivative closure.
-    cur_seg = prog.segment_at(t)
-    I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, p)
-    f = _make_deriv(p, ref, I_in)
+    def drive(x: float):
+        """The constant-drive segment at ``x``, its input current and derivative closure."""
+        seg = prog.segment_at(x)
+        i_in = synapse_current(seg.V_exc, seg.V_inh, p)
+        return seg, i_in, _make_deriv(p, ref, i_in)
 
-    rec.add(t, u, v, 0.0 if phase is Phase.CLAMPED else I_in,
-            phase is Phase.CLAMPED, out_of_range(u, v))
+    t, u, v = s0.t, s0.U, s0.V
+    cur_seg, I_in, f = drive(t)
+    rows = [(t, u, v, I_in, False, out_of_range(u, v))]
+    k, e = after(t)
 
-    pending_event: SpikeEvent | None = None
-    idx = int(np.searchsorted(stops, t * (1.0 + _GRID_SNAP), side="right"))
-    t_end = cfg.t_end
-    n_stops = len(stops)
-
-    while idx < n_stops:
-        if phase is Phase.CLAMPED:
-            assert pending_event is not None
-            t_rel = pending_event.t_release
-            # record clamped samples on the sampling grid inside the hold
-            while idx < n_stops and stops[idx] < min(t_rel, t_end) * (1.0 - _GRID_SNAP):
-                if stop_is_sample[idx]:
-                    rec.add(stops[idx], p.V_reset, V_th, 0.0, True, False)
-                idx += 1
-            if t_rel >= t_end:
-                rec.add(t_end, p.V_reset, V_th, 0.0, True, False)
-                break
-            released = fsm.release(
-                NeuronState(t=t_rel, U=p.V_reset, V=V_th, phase=Phase.CLAMPED),
-                pending_event,
-            )
-            pending_event = None
-            t, u, v, phase = released.t, released.U, released.V, Phase.OSCILLATE
-            cur_seg = prog.segment_at(t)
-            I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, p)
-            f = _make_deriv(p, ref, I_in)
-            rec.add(t, u, v, I_in, False, out_of_range(u, v))
-            idx = int(np.searchsorted(stops, t * (1.0 + _GRID_SNAP), side="right"))
-            continue
-
-        t_next = float(stops[idx])
+    while k <= last:
+        t_next = k * dt if k < last else t_end  # stop(k), inlined
+        if extras[e] < t_next:
+            t_next, sample = extras[e], False
+            e += 1
+        else:
+            sample = k % stride == 0 or k == last
+            k += 1
         h = t_next - t
-        if h <= 0.0:
-            idx += 1
-            continue
         mid = t + 0.5 * h
         if not (cur_seg.t_start <= mid < cur_seg.t_end):
-            cur_seg = prog.segment_at(mid)
-            I_in = synapse_current(cur_seg.V_exc, cur_seg.V_inh, p)
-            f = _make_deriv(p, ref, I_in)
+            cur_seg, I_in, f = drive(mid)
 
         u_new, v_new = _rk4_once(u, v, h, f)
-
-        if v < V_th <= v_new:
-            lo, hi = t, t_next
-            u0, v0 = u, v
-            tol = cfg.crossing_tol
-            while hi - lo > tol:
-                m = 0.5 * (lo + hi)
-                _, v_m = _rk4_once(u0, v0, m - t, f)
-                if v_m >= V_th:
-                    hi = m
-                else:
-                    lo = m
-            t_cross = hi
-            u_c, v_c = _rk4_once(u0, v0, t_cross - t, f)
-            clamped_state, event = fsm.on_threshold(
-                t_cross, NeuronState(t=t_cross, U=u_c, V=v_c, phase=Phase.OSCILLATE)
-            )
-            phase = Phase.CLAMPED
-            pending_event = event
-            t, u, v = t_cross, clamped_state.U, clamped_state.V
-            rec.add(t, u, v, 0.0, True, False)
-            if max_events is not None and len(fsm.events) >= max_events:
-                break
-            idx = int(np.searchsorted(stops, t * (1.0 + _GRID_SNAP), side="right"))
+        if not v < V_th <= v_new:
+            t, u, v = t_next, u_new, v_new
+            if sample:
+                rows.append((t, u, v, I_in, False, out_of_range(u, v)))
             continue
 
-        t, u, v = t_next, u_new, v_new
-        if stop_is_sample[idx]:
-            rec.add(t, u, v, I_in, False, out_of_range(u, v))
-        idx += 1
+        lo, hi = t, t_next
+        while hi - lo > tol:
+            m = 0.5 * (lo + hi)
+            _, v_m = _rk4_once(u, v, m - t, f)
+            if v_m >= V_th:
+                hi = m
+            else:
+                lo = m
+        u_c, v_c = _rk4_once(u, v, hi - t, f)
+        clamped, event = fsm.on_threshold(hi, NeuronState(t=hi, U=u_c, V=v_c))
+        rows.append((hi, clamped.U, clamped.V, 0.0, True, False))
+        if max_events is not None and len(fsm.events) >= max_events:
+            break
+        k, e = after(hi)
+        if k > last:
+            break
+        # hold: clamped samples on the grid, then the release or the horizon
+        t_rel = event.t_release
+        hold_end = min(t_rel, t_end) * (1.0 - _GRID_SNAP)
+        while k < last and k * dt < hold_end:
+            if k % stride == 0:
+                rows.append((k * dt, V_reset, V_th, 0.0, True, False))
+            k += 1
+        if t_rel >= t_end:
+            rows.append((t_end, V_reset, V_th, 0.0, True, False))
+            break
+        released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
+        t, u, v = released.t, released.U, released.V
+        cur_seg, I_in, f = drive(t)
+        rows.append((t, u, v, I_in, False, out_of_range(u, v)))
+        k, e = after(t)
 
-    return rec.build(), fsm.events
+    # rows are (t, U, V, I_in, clamped, overflow); bool columns stay bool
+    return Trace(*map(np.asarray, zip(*rows))), fsm.events

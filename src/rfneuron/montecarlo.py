@@ -27,6 +27,7 @@ from .analysis import MetricsRecord
 from .core import CircuitParams, derive_params
 from .errors import ConfigError, require_finite
 from .experiments import RingdownSetup, run_ringdown
+from .handshake import HandshakeConfig
 
 __all__ = [
     "MismatchModel",
@@ -141,9 +142,9 @@ def sample_die(base: CircuitParams, m: MismatchModel, die_index: int) -> Circuit
 
 
 def _die_metrics(args: tuple) -> tuple[int, MetricsRecord, int]:
-    base, model, die_index, setup = args
+    base, model, die_index, setup, protocol = args
     die, rejected = _sample_die_counted(base, model, die_index)
-    _, _, metrics = run_ringdown(die, setup)
+    _, _, metrics = run_ringdown(die, setup, protocol)
     return die_index, metrics, rejected
 
 
@@ -166,19 +167,22 @@ def run_population(
     n_dies: int,
     setup: RingdownSetup | None = None,
     workers: int = 1,
+    protocol: HandshakeConfig | None = None,
 ) -> PopulationStats:
     """Ringdown metrics and their spread over ``n_dies`` sampled dies.
 
     Dies are independent; with ``workers > 1`` they are distributed over a
     process pool and re-assembled by index, so the result is identical to a
-    sequential run.  Dies whose metric is undefined are excluded from that
-    metric's statistics and counted in ``n_excluded``.
+    sequential run.  Every die's ringdown uses ``protocol`` (by default a
+    self-acknowledge hold of the die's ``T_spk``).  Dies whose metric is
+    undefined are excluded from that metric's statistics and counted in
+    ``n_excluded``.
     """
     if n_dies < 2:
         raise ValueError("population statistics need at least 2 dies")
     if setup is None:
         setup = RingdownSetup()
-    jobs = [(base, m, i, setup) for i in range(n_dies)]
+    jobs = [(base, m, i, setup, protocol) for i in range(n_dies)]
     results: list[MetricsRecord | None] = [None] * n_dies
     rejected_total = 0
     if workers > 1:

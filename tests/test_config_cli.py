@@ -289,6 +289,55 @@ class TestCli:
         assert err.startswith("config error: invalid config section 'fi': fi levels must increase")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, doc", [
+        ("fi", "fi: {n_levels: -1}"),
+        ("fi", "fi: {spikes_per_point: 0}"),
+        ("sweep-bias", "sweep: {n_points: -1}"),
+        ("sweep-bias", "sweep: {I_min: -1.0e-11}"),
+        ("chirp", "chirp: {n_bias: -1}"),
+        ("chirp", "chirp: {bias_min: -1.0e-10}"),
+        ("ringdown", "ringdown: {settle_window: -1.0}"),
+        ("ringdown", "ringdown: {settle_window: 0.5}"),  # longer than the 0.3 s horizon
+    ])
+    def test_out_of_range_setup_exit_code(self, command, doc, tmp_path, capsys):
+        path = tmp_path / "setup.yaml"
+        path.write_text(doc + "\n")
+        argv = [command, "--config", str(path), "--outdir", str(tmp_path / "o")]
+        rc = main(argv + (["--full-map"] if command == "chirp" else []))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid config section '{doc.split(':')[0]}'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, doc", [
+        ("fi", "fi: {V_th: 0.7, n_levels: 2, timeout: 0.02}"),
+        ("chirp", "chirp: {vth_min: 0.5, n_bias: 2, n_freqs: 2, spikes_per_freq: 2, "
+                  "f_start: 200.0}"),
+    ])
+    def test_threshold_below_reset_exit_code(self, command, doc, tmp_path, capsys):
+        # the fi threshold and the tuning map's threshold law replace the neuron's V_th
+        path = tmp_path / "vth.yaml"
+        path.write_text(doc + "\n")
+        argv = [command, "--config", str(path), "--outdir", str(tmp_path / "o")]
+        rc = main(argv + (["--full-map"] if command == "chirp" else []))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: voltage ordering 0 < V_reset < V_th < V_DD violated")
+        assert err.count("\n") == 1
+
+    def test_montecarlo_follows_the_handshake_section(self, tmp_path):
+        # the dies spike at this threshold, so the hold length shows in their metrics
+        base = ("neuron: {V_th: 0.80}\nringdown: {horizon: 0.06, settle_window: 0.012}\n"
+                "montecarlo: {n_dies: 3, amplitude: 0.5}\n")
+        outs = []
+        for T_spk in ("6.0e-05", "3.0e-03"):
+            path = tmp_path / f"mc_{T_spk}.yaml"
+            path.write_text(base + f"handshake: {{T_spk: {T_spk}}}\n")
+            outs.append(tmp_path / T_spk)
+            rc = main(["montecarlo", "--config", str(path), "--outdir", str(outs[-1])])
+            assert rc == 0
+        assert not filecmp.cmp(outs[0] / "dies.csv", outs[1] / "dies.csv", shallow=False)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("neuron:\n  V_reset: 0.9\n")
@@ -347,5 +396,83 @@ def test_any_neuron_section_ends_in_a_documented_exit_code(neuron):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(["ringdown", "--config", str(path), "--outdir", str(Path(tmp) / "o")])
+    assert rc in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+
+
+def _shorter(default: float):
+    """Up to four decades below ``default``, or an invalid 0 or negative value.
+
+    Used for the fields whose growth lengthens a run, so every example stays short.
+    """
+    return st.one_of(
+        st.floats(-4.0, 0.0).map(lambda e: default * 10.0**e),
+        st.sampled_from([0.0, -default]),
+    )
+
+
+def _higher(default: float):
+    """Up to four decades above ``default`` (a chirp frequency), or 0 or negative."""
+    return st.one_of(
+        st.floats(0.0, 4.0).map(lambda e: default * 10.0**e),
+        st.sampled_from([0.0, -default]),
+    )
+
+
+# section -> (command, base fields that keep the run short, strategies of the drawn fields)
+_SETUP_SECTIONS = {
+    "ringdown": ("ringdown", {"horizon": 0.02, "settle_window": 0.005}, {
+        "t0": _around(1e-3), "width": _around(100e-6), "amplitude": _around(0.5),
+        "horizon": _shorter(0.02), "settle_window": _around(0.005),
+    }),
+    "fi": ("fi", {"n_levels": 2, "level_min": 0.45, "level_max": 0.5,
+                  "spikes_per_point": 3, "timeout": 0.02}, {
+        "n_levels": st.integers(-1, 3), "spikes_per_point": st.integers(-1, 4),
+        "level_min": _around(0.45), "level_max": _around(0.5), "V_th": _around(0.84),
+        "timeout": _shorter(0.02),
+    }),
+    "chirp": ("chirp", {"n_freqs": 2, "spikes_per_freq": 2, "f_start": 200.0, "f_end": 260.0,
+                        "n_bias": 1}, {
+        "n_freqs": st.integers(-1, 3), "spikes_per_freq": st.integers(-1, 3),
+        "n_bias": st.integers(-1, 2), "f_start": _higher(200.0), "f_end": _higher(260.0),
+        "pulse_width": _around(100e-6), "amplitude": _around(0.5),
+        "bias_min": _around(105e-12), "bias_max": _around(162e-12),
+        "vth_min": _around(0.84), "vth_max": _around(0.9),
+        "vth_anchor_min": _around(105e-12), "vth_anchor_max": _around(255e-12),
+    }),
+    "sweep": ("sweep-bias", {"n_points": 1}, {
+        "n_points": st.integers(-1, 2), "I_min": _around(10e-12), "I_max": _around(2.51e-9),
+        "amplitude": _around(0.4), "width": _around(100e-6),
+    }),
+}
+
+
+def _setup_section(name: str):
+    fields = _SETUP_SECTIONS[name][2]
+    return st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({n: fields[n] for n in names})
+    ).map(lambda drawn: (name, drawn))
+
+
+@given(st.sampled_from(sorted(_SETUP_SECTIONS)).flatmap(_setup_section))
+@example(("fi", {"n_levels": -1}))
+@example(("fi", {"spikes_per_point": 0}))
+@example(("sweep", {"n_points": -1}))
+@example(("sweep", {"I_min": -1e-11}))
+@example(("chirp", {"n_bias": -1}))
+@example(("chirp", {"bias_min": -1e-10}))
+@example(("ringdown", {"settle_window": 0.5}))
+@settings(max_examples=40, deadline=None)
+def test_any_setup_section_ends_in_a_documented_exit_code(drawn):
+    """A short run on any ringdown, fi, chirp or sweep section exits 0-3 with <= 1 stderr line."""
+    name, fields = drawn
+    command, base, _ = _SETUP_SECTIONS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "setup.yaml"
+        path.write_text(yaml.safe_dump({name: {**base, **fields}}))
+        argv = [command, "--config", str(path), "--outdir", str(Path(tmp) / "o")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + (["--full-map"] if command == "chirp" else []))
     assert rc in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1

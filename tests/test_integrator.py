@@ -12,6 +12,7 @@ from rfneuron import (
     HandshakeConfig,
     IntegratorConfig,
     NeuronState,
+    Phase,
     derive_params,
     integrate,
     pulse,
@@ -179,6 +180,35 @@ class TestIntegrate:
         assert len(events) == 3
         assert trace.t[-1] == pytest.approx(events[-1].t_req)
 
+    def test_hold_past_horizon_ends_in_one_clamped_sample(self):
+        # a release after t_end is never reached: the trace ends clamped at t_end
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        cfg = IntegratorConfig(t_end=0.03)
+        trace, events = integrate(equilibrium_state(p), p, prog, cfg, HandshakeConfig(T_spk=1.0))
+        assert len(events) == 1 and events[0].t_release > cfg.t_end
+        assert trace.t[-1] == cfg.t_end
+        assert np.count_nonzero(trace.t == cfg.t_end) == 1
+        held = trace.t >= events[0].t_req
+        assert np.count_nonzero(held) > 2
+        assert np.all(trace.clamped[held])               # no release sample
+        assert np.all(trace.U[held] == p.V_reset)
+        assert np.all(trace.I_in[held] == 0.0)
+
+    @pytest.mark.parametrize("offset", [1e-15, -1e-15])
+    def test_edges_within_snap_of_the_grid_act_on_the_grid(self, offset):
+        # pulse edges closer than dt * 1e-9 to a grid point add no stop
+        p = CircuitParams()
+        cfg = IntegratorConfig(t_end=0.02)
+        on_grid = pulse(1e-3, 100e-6, 0.5, Polarity.INH)
+        near = pulse(1e-3 + offset, 100e-6, 0.5, Polarity.INH)
+        assert near.breakpoints != on_grid.breakpoints
+        t1, e1 = integrate(equilibrium_state(p), p, on_grid, cfg)
+        t2, e2 = integrate(equilibrium_state(p), p, near, cfg)
+        assert e1 == e2
+        for name in ("t", "U", "V", "I_in", "clamped", "overflow"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
+
     def test_determinism_bit_identical(self):
         p = CircuitParams()
         prog = pulse(1e-3, 100e-6, 0.5, Polarity.INH)
@@ -204,6 +234,27 @@ class TestIntegrate:
                                    ack_delays=(0.0,))
         with pytest.raises(ProtocolError):
             integrate(equilibrium_state(p), p, prog, cfg, protocol)
+
+    def test_clamped_start_rejected(self):
+        p = CircuitParams()
+        s0 = dataclasses.replace(equilibrium_state(p), phase=Phase.CLAMPED)
+        with pytest.raises(ValueError, match="free-running"):
+            integrate(s0, p, zero_program(), IntegratorConfig(t_end=5e-3))
+
+    @pytest.mark.parametrize("t0", [-1e-3, 5e-3, 0.01])
+    def test_start_outside_horizon_rejected(self, t0):
+        p = CircuitParams()
+        s0 = dataclasses.replace(equilibrium_state(p), t=t0)
+        with pytest.raises(ValueError, match="start time"):
+            integrate(s0, p, zero_program(), IntegratorConfig(t_end=5e-3))
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_max_events_below_one_rejected(self, max_events):
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        with pytest.raises(ValueError, match="max_events"):
+            integrate(equilibrium_state(p), p, prog, IntegratorConfig(t_end=0.05),
+                      max_events=max_events)
 
     def test_trace_csv_round_trip(self, tmp_path):
         p = CircuitParams()
