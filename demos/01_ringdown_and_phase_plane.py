@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from rfneuron import CircuitParams, derive_params
+from rfneuron.cli import write_csv
 from rfneuron.experiments import run_ringdown
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "ringdown")
@@ -27,7 +28,9 @@ def main():
           f"f_res={dp.f_res:.1f} Hz, Q={dp.Q:.1f}")
 
     trace, events, metrics = run_ringdown(p)
-    trace.to_csv(os.path.join(OUT, "trace.csv"))
+    columns = (trace.t, trace.U, trace.V, trace.I_in, trace.clamped, trace.overflow)
+    header = ("t_s", "U_V", "V_V", "I_in_A", "clamped", "overflow")
+    write_csv(os.path.join(OUT, "trace.csv"), header, zip(*(c.tolist() for c in columns)))
 
     print(f"simulated 0.3 s, {len(trace)} samples, {len(events)} spikes "
           f"(subthreshold by design: V_th = {p.V_th*1e3:.0f} mV)")

@@ -16,6 +16,7 @@ import numpy as np
 
 from rfneuron import CircuitParams, IntegratorConfig, NeuronState, derive_params, integrate, step
 from rfneuron.analysis import fi_curve
+from rfneuron.cli import write_csv
 from rfneuron.stimuli import Polarity
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "fi")
@@ -39,10 +40,7 @@ def main():
     # the full curve (reduced spike budget keeps this demo snappy)
     levels = list(np.linspace(0.0, 0.5, 26))
     rows = fi_curve(p, levels, spikes_per_point=25, timeout=0.4)
-    with open(os.path.join(OUT, "fi_curve.csv"), "w") as fh:
-        fh.write("level_V,rate_Hz,rate_std_Hz\n")
-        for lv, r, s in rows:
-            fh.write(f"{lv:.12g},{r:.12g},{s:.12g}\n")
+    write_csv(os.path.join(OUT, "fi_curve.csv"), ("level_V", "rate_Hz", "rate_std_Hz"), rows)
     onset = next((lv for lv, r, _ in rows if r > 0), None)
     print(f"F-I curve: silent below {onset*1e3:.0f} mV, then an immediate jump:")
     for lv, r, s in rows:

@@ -15,6 +15,7 @@ from collections import Counter
 
 from rfneuron import CircuitParams, derive_params
 from rfneuron.analysis import tuning_map
+from rfneuron.cli import write_csv
 from rfneuron.experiments import ChirpSetup, run_chirp
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "selectivity")
@@ -36,7 +37,8 @@ def main():
 
     setup = ChirpSetup()
     tm = tuning_map(p, setup.bias_levels(), setup.vth_schedule(), prog)
-    tm.to_csv(os.path.join(OUT, "tuning_map.csv"))
+    write_csv(os.path.join(OUT, "tuning_map.csv"), ("bias_A\\freq_Hz", *tm.frequencies),
+              ((b, *row) for b, row in zip(tm.bias_levels, tm.counts.tolist())))
     print("\ntuning map (rows = bias current, argmax marked):")
     for i, bias in enumerate(tm.bias_levels):
         det = tm.detected_frequency(i)

@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from rfneuron import CircuitParams
+from rfneuron.cli import write_csv
 from rfneuron.experiments import SweepSetup, linear_fit, run_bias_sweep
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "sweep")
@@ -22,10 +23,8 @@ OUT = os.path.join(os.path.dirname(__file__), "out", "sweep")
 def main():
     os.makedirs(OUT, exist_ok=True)
     rows = run_bias_sweep(CircuitParams(), SweepSetup())
-    with open(os.path.join(OUT, "sweep.csv"), "w") as fh:
-        fh.write("I_A,f_res_Hz,f_analytic_Hz\n")
-        for r in rows:
-            fh.write(f"{r['I_A']:.12g},{r['f_res_Hz']:.12g},{r['f_analytic_Hz']:.12g}\n")
+    header = ("I_A", "f_res_Hz", "f_analytic_Hz")
+    write_csv(os.path.join(OUT, "sweep.csv"), header, ([r[k] for k in header] for r in rows))
 
     print("bias current -> measured / analytic resonance")
     for r in rows:

@@ -14,8 +14,9 @@ import dataclasses
 import os
 
 from rfneuron import CircuitParams
+from rfneuron.cli import write_csv, write_json
 from rfneuron.experiments import RingdownSetup
-from rfneuron.montecarlo import MismatchModel, run_population
+from rfneuron.montecarlo import METRIC_NAMES, MismatchModel, run_population
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "montecarlo")
 N_DIES = 40  # demo-sized population; the full characterization uses 100
@@ -26,13 +27,16 @@ def main():
     base = CircuitParams()
     setup = dataclasses.replace(RingdownSetup(), amplitude=0.4)
     stats = run_population(base, MismatchModel(), N_DIES, setup)
-    stats.to_json(os.path.join(OUT, "population.json"))
-    stats.dies_to_csv(os.path.join(OUT, "dies.csv"))
+    write_json(os.path.join(OUT, "population.json"), {
+        "n_dies": stats.n_dies, "n_resampled": stats.n_resampled, "metrics": stats.stats,
+    })
+    write_csv(os.path.join(OUT, "dies.csv"), ("die", *METRIC_NAMES, "flags"),
+              ((i, *(getattr(rec, m) for m in METRIC_NAMES), ";".join(rec.flags))
+               for i, rec in enumerate(stats.records)))
 
     print(f"{N_DIES} dies, {stats.n_resampled} rejected draws resampled")
     print(f"{'metric':14s} {'mean':>12s} {'CV %':>8s} {'defined':>8s}")
-    for name in ("baseline_U", "baseline_V", "first_peak_U", "first_peak_V",
-                 "f_res", "q_factor"):
+    for name in METRIC_NAMES:
         s = stats.stats[name]
         print(f"{name:14s} {s['mean']:12.6g} {s['cv_percent']:8.2f} "
               f"{s['n_defined']:8d}")

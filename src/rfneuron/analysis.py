@@ -14,9 +14,8 @@ rather than silently trusted.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -58,16 +57,6 @@ class MetricsRecord:
     q_factor: float = math.nan
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["flags"] = list(self.flags)
-        return d
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, allow_nan=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class TuningMap:
@@ -96,25 +85,6 @@ class TuningMap:
         if self.counts[row].sum() == 0:
             return None
         return self.frequencies[int(np.argmax(self.counts[row]))]
-
-    def to_csv(self, path) -> None:
-        """Matrix form: rows = bias (A), columns = input frequency (Hz)."""
-        with open(path, "w", newline="") as fh:
-            header = "bias_A\\freq_Hz," + ",".join(f"{f:.12g}" for f in self.frequencies)
-            fh.write(header + "\n")
-            for b, row in zip(self.bias_levels, self.counts):
-                fh.write(f"{b:.12g}," + ",".join(str(int(c)) for c in row) + "\n")
-
-    def to_json(self, path) -> None:
-        payload = {
-            "bias_levels_A": list(self.bias_levels),
-            "frequencies_Hz": list(self.frequencies),
-            "vth_schedule_V": list(self.vth_schedule),
-            "counts": self.counts.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
@@ -280,10 +250,13 @@ def fi_curve(
     spikes have been collected or ``timeout`` seconds of simulated time
     elapse; silence is a valid zero-rate outcome.  Returns rows of
     (level_V, rate_Hz, rate_std_Hz) in the order given; levels must be
-    increasing.
+    increasing, and ``spikes_per_point`` at least 2, since a rate needs one
+    inter-spike interval.
     """
     if any(b >= c for b, c in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    if spikes_per_point < 2:
+        raise ValueError(f"spikes_per_point must be >= 2, got {spikes_per_point!r}")
     if cfg is None:
         cfg = IntegratorConfig(t_end=timeout)
     else:

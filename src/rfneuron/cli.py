@@ -1,15 +1,22 @@
-"""Experiment runner CLI.
+"""Experiment runner CLI and the package's one result writer.
 
-Subcommands map one-to-one onto the characterization experiments:
+Subcommands map one-to-one onto the characterization experiments.  Each
+writes its result files into ``--outdir``:
 
-    ringdown    inhibitory-pulse ringdown, trace + extracted metrics
-    fi          firing rate versus constant input level
-    chirp       chirp raster at one bias, optionally the full tuning map
-    sweep-bias  resonant frequency versus bias current, with linear fit
-    montecarlo  die-to-die variability statistics
+    ringdown    inhibitory-pulse ringdown: ringdown_trace.csv,
+                ringdown_events.csv, ringdown_metrics.json
+    fi          firing rate versus constant input level: fi_curve.csv
+    chirp       chirp raster at one bias: chirp_raster.csv, chirp_trace.csv;
+                ``--full-map`` adds tuning_map.csv and tuning_map.json
+    sweep-bias  resonant frequency versus bias current, with linear fit:
+                sweep_bias.csv, sweep_fit.json
+    montecarlo  die-to-die variability statistics: population.json, dies.csv
 
-All outputs are plain CSV/JSON plus a YAML dump of the effective
-configuration.  Exit codes:
+A subcommand that returns also writes effective_config.yaml, the fully
+defaulted configuration.  Every result file goes through :func:`write_csv`
+or :func:`write_json`.  A CSV float cell has 12 significant digits
+(``.12g``), an int or bool flag is written as an integer, and a string as
+it is; JSON is indented by 2 and ends in a newline.  Exit codes:
 
     0  success
     1  configuration error, including a scripted acknowledge list too short
@@ -29,6 +36,7 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +44,45 @@ import numpy as np
 from .analysis import tuning_map, fi_curve
 from .config import ExperimentConfig, dump_effective_config, load_config
 from .errors import ConfigError, ProtocolError, UndefinedMetricError
-from .handshake import events_to_csv
 from .experiments import linear_fit, run_bias_sweep, run_chirp, run_ringdown
-from .montecarlo import run_population
+from .montecarlo import METRIC_NAMES, run_population
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(int(v))
+
+
+def write_csv(path, header, rows) -> None:
+    """Stream ``header`` and then each row of cells to a CSV file.
+
+    A float cell is written to 12 significant digits, an int or bool flag as
+    an integer (numpy scalars included), and a string as it is.
+    """
+    with open(path, "w", newline="") as fh:
+        for row in chain([header], rows):
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON indented by 2, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_trace(path, trace) -> None:
+    columns = (trace.t, trace.U, trace.V, trace.I_in, trace.clamped, trace.overflow)
+    write_csv(path, ("t_s", "U_V", "V_V", "I_in_A", "clamped", "overflow"),
+              zip(*(c.tolist() for c in columns)))
 
 
 def _load(args) -> ExperimentConfig:
@@ -57,110 +96,85 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
-def _prepare_outdir(args) -> Path:
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_provenance(cfg: ExperimentConfig, out: Path) -> None:
-    dump_effective_config(cfg, out / "effective_config.yaml")
-
-
-def cmd_ringdown(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(args)
+def cmd_ringdown(cfg: ExperimentConfig, out: Path, args) -> int:
     trace, events, metrics = run_ringdown(cfg.neuron, cfg.ringdown, cfg.handshake)
-    trace.to_csv(out / "ringdown_trace.csv")
-    metrics.to_json(out / "ringdown_metrics.json")
-    events_to_csv(events, out / "ringdown_events.csv")
-    _write_provenance(cfg, out)
+    _write_trace(out / "ringdown_trace.csv", trace)
+    write_csv(out / "ringdown_events.csv", ("index", "t_req_s", "t_release_s"),
+              ((e.index, e.t_req, e.t_release) for e in events))
+    write_json(out / "ringdown_metrics.json", dataclasses.asdict(metrics))
     print(f"ringdown: baseline_U={metrics.baseline_U:.6g} V, "
           f"f_res={metrics.f_res:.6g} Hz, Q={metrics.q_factor:.6g}, "
           f"{len(events)} events, flags={list(metrics.flags)}")
     return EXIT_NUMERIC if trace.any_overflow else EXIT_OK
 
 
-def cmd_fi(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(args)
+def cmd_fi(cfg: ExperimentConfig, out: Path, args) -> int:
     p = dataclasses.replace(cfg.neuron, V_th=cfg.fi.V_th)
     rows = fi_curve(
         p, cfg.fi.levels(), spikes_per_point=cfg.fi.spikes_per_point,
         timeout=cfg.fi.timeout, cfg=cfg.integrator, protocol=cfg.handshake,
     )
-    with open(out / "fi_curve.csv", "w") as fh:
-        fh.write("level_V,rate_Hz,rate_std_Hz\n")
-        for level, rate, std in rows:
-            fh.write(f"{level:.12g},{rate:.12g},{std:.12g}\n")
-    _write_provenance(cfg, out)
+    write_csv(out / "fi_curve.csv", ("level_V", "rate_Hz", "rate_std_Hz"), rows)
     onset = next((lv for lv, r, _ in rows if r > 0.0), None)
     print(f"fi: {len(rows)} levels, onset="
           f"{'none' if onset is None else f'{onset:.3g} V'}")
     return EXIT_OK
 
 
-def cmd_chirp(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(args)
+def cmd_chirp(cfg: ExperimentConfig, out: Path, args) -> int:
     trace, events, prog = run_chirp(cfg.neuron, cfg.chirp, cfg.handshake)
-    with open(out / "chirp_raster.csv", "w") as fh:
-        fh.write("index,t_req_s,t_release_s,block_freq_Hz\n")
-        for e in events:
-            f = prog.freq_blocks[prog.block_index(e.t_req)].frequency
-            fh.write(f"{e.index},{e.t_req:.12g},{e.t_release:.12g},{f:.12g}\n")
-    trace.to_csv(out / "chirp_trace.csv")
-    overflow = trace.any_overflow
+    blocks = prog.freq_blocks
+    write_csv(out / "chirp_raster.csv", ("index", "t_req_s", "t_release_s", "block_freq_Hz"),
+              ((e.index, e.t_req, e.t_release, blocks[prog.block_index(e.t_req)].frequency)
+               for e in events))
+    _write_trace(out / "chirp_trace.csv", trace)
     summary = {"n_spikes": len(events)}
     if args.full_map:
         tm = tuning_map(
             cfg.neuron, cfg.chirp.bias_levels(), cfg.chirp.vth_schedule(),
             prog, cfg=cfg.chirp.integrator_config(prog), protocol=cfg.handshake,
         )
-        tm.to_csv(out / "tuning_map.csv")
-        tm.to_json(out / "tuning_map.json")
+        counts = tm.counts.tolist()
+        write_csv(out / "tuning_map.csv", ("bias_A\\freq_Hz", *tm.frequencies),
+                  ((b, *row) for b, row in zip(tm.bias_levels, counts)))
+        write_json(out / "tuning_map.json", {
+            "bias_levels_A": tm.bias_levels, "frequencies_Hz": tm.frequencies,
+            "vth_schedule_V": tm.vth_schedule, "counts": counts,
+        })
         detected = [tm.detected_frequency(i) for i in range(len(tm.bias_levels))]
         summary["detected_Hz"] = [None if f is None else round(f, 3) for f in detected]
-    _write_provenance(cfg, out)
     print(f"chirp: {json.dumps(summary)}")
-    return EXIT_NUMERIC if overflow else EXIT_OK
+    return EXIT_NUMERIC if trace.any_overflow else EXIT_OK
 
 
-def cmd_sweep_bias(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(args)
+def cmd_sweep_bias(cfg: ExperimentConfig, out: Path, args) -> int:
     rows = run_bias_sweep(cfg.neuron, cfg.sweep)
-    with open(out / "sweep_bias.csv", "w") as fh:
-        fh.write("I_A,f_res_Hz,f_analytic_Hz,flags\n")
-        for r in rows:
-            fh.write(f"{r['I_A']:.12g},{r['f_res_Hz']:.12g},"
-                     f"{r['f_analytic_Hz']:.12g},{r['flags']}\n")
+    header = ("I_A", "f_res_Hz", "f_analytic_Hz", "flags")
+    write_csv(out / "sweep_bias.csv", header, ([r[k] for k in header] for r in rows))
     measured = [(r["I_A"], r["f_res_Hz"]) for r in rows if math.isfinite(r["f_res_Hz"])]
     fit = linear_fit(np.asarray([m[0] for m in measured]),
                      np.asarray([m[1] for m in measured]))
     fit["n_points"] = len(measured)
     fit["n_flagged"] = len(rows) - len(measured)
-    with open(out / "sweep_fit.json", "w") as fh:
-        json.dump(fit, fh, indent=2)
-        fh.write("\n")
-    _write_provenance(cfg, out)
+    write_json(out / "sweep_fit.json", fit)
     print(f"sweep-bias: R^2={fit['r_squared']:.6f}, "
           f"slope={fit['slope_Hz_per_A']:.6g} Hz/A, "
           f"intercept={fit['intercept_Hz']:.4g} Hz")
     return EXIT_OK
 
 
-def cmd_montecarlo(args) -> int:
-    cfg = _load(args)
-    out = _prepare_outdir(args)
+def cmd_montecarlo(cfg: ExperimentConfig, out: Path, args) -> int:
     setup = cfg.montecarlo.ringdown(cfg.ringdown)
     stats = run_population(
         cfg.neuron, cfg.montecarlo.model, cfg.montecarlo.n_dies,
         setup, workers=cfg.montecarlo.workers, protocol=cfg.handshake,
     )
-    stats.to_json(out / "population.json")
-    stats.dies_to_csv(out / "dies.csv")
-    _write_provenance(cfg, out)
+    write_json(out / "population.json", {
+        "n_dies": stats.n_dies, "n_resampled": stats.n_resampled, "metrics": stats.stats,
+    })
+    write_csv(out / "dies.csv", ("die", *METRIC_NAMES, "flags"),
+              ((i, *(getattr(rec, m) for m in METRIC_NAMES), ";".join(rec.flags))
+               for i, rec in enumerate(stats.records)))
     cvs = {m: round(stats.cv_percent(m), 3) for m in ("baseline_U", "f_res", "q_factor")}
     print(f"montecarlo: {stats.n_dies} dies, CV% = {json.dumps(cvs)}")
     return EXIT_OK
@@ -195,7 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load(args)
+        out = Path(args.outdir)
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.fn(cfg, out, args)
+        dump_effective_config(cfg, out / "effective_config.yaml")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

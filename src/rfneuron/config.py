@@ -34,7 +34,9 @@ class MonteCarloSetup:
 
     The per-die ringdown uses a gentler 0.4 V pulse than the standard
     characterization so that dies at the small-margin tail of the spread
-    still ring below threshold and yield well-defined metrics.
+    still ring below threshold and yield well-defined metrics.  ``workers``
+    caps the process pool, which never exceeds ``n_dies`` or the CPU count;
+    the outputs do not depend on it.
     """
 
     n_dies: int = 100

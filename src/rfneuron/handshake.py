@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "HandshakeFSM",
     "FiringRate",
     "firing_rate",
-    "events_to_csv",
 ]
 
 
@@ -151,11 +150,3 @@ def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
         std_hz=float(np.std(rates)),
         n_intervals=len(rates),
     )
-
-
-def events_to_csv(events: Iterable[SpikeEvent], path) -> None:
-    """Write events with timestamps to 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("index,t_req_s,t_release_s\n")
-        for e in events:
-            fh.write(f"{e.index},{e.t_req:.12g},{e.t_release:.12g}\n")

@@ -106,15 +106,6 @@ class Trace:
     def any_overflow(self) -> bool:
         return bool(np.any(self.overflow))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t_s,U_V,V_V,I_in_A,clamped,overflow\n")
-            for i in range(len(self.t)):
-                fh.write(
-                    f"{self.t[i]:.12g},{self.U[i]:.12g},{self.V[i]:.12g},"
-                    f"{self.I_in[i]:.12g},{int(self.clamped[i])},{int(self.overflow[i])}\n"
-                )
-
 
 def _rk4_once(u: float, v: float, h: float, f: Deriv) -> tuple[float, float]:
     """RK4 update with a time-independent derivative (constant drive)."""

@@ -16,8 +16,8 @@ from the same stream rather than clamped, so tails stay unbiased.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -77,23 +77,6 @@ class PopulationStats:
     stats: dict
     n_resampled: int = 0
 
-    def to_json(self, path) -> None:
-        payload = {
-            "n_dies": self.n_dies,
-            "n_resampled": self.n_resampled,
-            "metrics": self.stats,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=True)
-            fh.write("\n")
-
-    def dies_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("die," + ",".join(METRIC_NAMES) + ",flags\n")
-            for i, rec in enumerate(self.records):
-                vals = ",".join(f"{getattr(rec, m):.12g}" for m in METRIC_NAMES)
-                fh.write(f"{i},{vals},{';'.join(rec.flags)}\n")
-
     def cv_percent(self, metric: str) -> float:
         return self.stats[metric]["cv_percent"]
 
@@ -141,11 +124,11 @@ def sample_die(base: CircuitParams, m: MismatchModel, die_index: int) -> Circuit
     return _sample_die_counted(base, m, die_index)[0]
 
 
-def _die_metrics(args: tuple) -> tuple[int, MetricsRecord, int]:
+def _die_metrics(args: tuple) -> tuple[MetricsRecord, int]:
     base, model, die_index, setup, protocol = args
     die, rejected = _sample_die_counted(base, model, die_index)
     _, _, metrics = run_ringdown(die, setup, protocol)
-    return die_index, metrics, rejected
+    return metrics, rejected
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -171,8 +154,9 @@ def run_population(
 ) -> PopulationStats:
     """Ringdown metrics and their spread over ``n_dies`` sampled dies.
 
-    Dies are independent; with ``workers > 1`` they are distributed over a
-    process pool and re-assembled by index, so the result is identical to a
+    Dies are independent; they run on a process pool of
+    ``min(workers, n_dies, os.cpu_count())`` processes when that is above
+    one, and the pool's ordered map keeps the result identical to a
     sequential run.  Every die's ringdown uses ``protocol`` (by default a
     self-acknowledge hold of the die's ``T_spk``).  Dies whose metric is
     undefined are excluded from that metric's statistics and counted in
@@ -183,25 +167,18 @@ def run_population(
     if setup is None:
         setup = RingdownSetup()
     jobs = [(base, m, i, setup, protocol) for i in range(n_dies)]
-    results: list[MetricsRecord | None] = [None] * n_dies
-    rejected_total = 0
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rec, rejected in pool.map(_die_metrics, jobs, chunksize=4):
-                results[idx] = rec
-                rejected_total += rejected
+    processes = min(workers, n_dies, os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_die_metrics, jobs, chunksize=4))
     else:
-        for job in jobs:
-            idx, rec, rejected = _die_metrics(job)
-            results[idx] = rec
-            rejected_total += rejected
-    records = tuple(r for r in results if r is not None)
-    assert len(records) == n_dies
-
+        results = list(map(_die_metrics, jobs))
+    records = tuple(rec for rec, _ in results)
     stats = {
         name: _aggregate([getattr(r, name) for r in records])
         for name in METRIC_NAMES
     }
     return PopulationStats(
-        n_dies=n_dies, records=records, stats=stats, n_resampled=rejected_total
+        n_dies=n_dies, records=records, stats=stats,
+        n_resampled=sum(rejected for _, rejected in results),
     )

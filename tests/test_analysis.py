@@ -1,6 +1,7 @@
 """Metric extractors validated against synthetic traces with known answers."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from rfneuron import (
     tuning_map,
 )
 from rfneuron.analysis import TuningMap, resonant_frequency_estimates
+from rfneuron.cli import write_csv, write_json
 from rfneuron.experiments import ringdown_metrics
 from rfneuron.stimuli import Polarity
 
@@ -195,6 +197,13 @@ class TestFICurve:
         rows = fi_curve(p, [0.0], spikes_per_point=5, timeout=0.05)
         assert rows[0][1] == 0.0
 
+    @pytest.mark.parametrize("spikes", [1, 0])
+    def test_fewer_than_two_spikes_per_level_rejected(self, spikes):
+        # one spike gives no interval, so a firing level would read as 0 Hz
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        with pytest.raises(ValueError, match="spikes_per_point"):
+            fi_curve(p, [0.45, 0.5], spikes_per_point=spikes, timeout=0.05)
+
     def test_levels_must_increase(self):
         p = CircuitParams()
         with pytest.raises(ValueError):
@@ -223,11 +232,16 @@ class TestTuningMap:
         tm = TuningMap(bias_levels=(1e-10, 2e-10), frequencies=(100.0, 150.0, 200.0),
                        vth_schedule=(0.84, 0.85), counts=counts)
         assert tm.detected_frequency(0) == 200.0
-        tm.to_csv(tmp_path / "map.csv")
-        tm.to_json(tmp_path / "map.json")
+        # the numpy counts are written as integers, the axes as .12g floats
+        write_csv(tmp_path / "map.csv", ("bias_A\\freq_Hz", *tm.frequencies),
+                  ((b, *row) for b, row in zip(tm.bias_levels, tm.counts)))
+        write_json(tmp_path / "map.json", {"frequencies_Hz": tm.frequencies,
+                                           "counts": tm.counts.tolist()})
         first = (tmp_path / "map.csv").read_text().splitlines()
-        assert first[0].startswith("bias_A\\freq_Hz,")
-        assert first[1].endswith("0,2,5")
+        assert first[0] == "bias_A\\freq_Hz,100,150,200"
+        assert first[1] == "1e-10,0,2,5"
+        payload = json.loads((tmp_path / "map.json").read_text())
+        assert payload == {"frequencies_Hz": [100.0, 150.0, 200.0], "counts": [[0, 2, 5], [0, 0, 7]]}
 
     def test_all_zero_row_reports_none(self):
         tm = TuningMap(bias_levels=(1e-10,), frequencies=(100.0, 200.0),

@@ -9,13 +9,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfneuron import CircuitParams, HandshakeConfig, IntegratorConfig, MismatchModel, cli
-from rfneuron.cli import main
+from rfneuron.cli import main, write_csv, write_json
 from rfneuron.config import (
     ExperimentConfig, MonteCarloSetup, dump_effective_config, load_config,
 )
@@ -163,7 +164,61 @@ class TestLoadConfig:
         assert again == cfg
 
 
+TRACE_HEADER = "t_s,U_V,V_V,I_in_A,clamped,overflow"
+
+# every file each subcommand writes on FAST_CONFIG, with the header line of each CSV
+OUTDIR_CONTRACT = {
+    ("ringdown",): {
+        "ringdown_trace.csv": TRACE_HEADER,
+        "ringdown_events.csv": "index,t_req_s,t_release_s",
+        "ringdown_metrics.json": None,
+    },
+    ("fi",): {"fi_curve.csv": "level_V,rate_Hz,rate_std_Hz"},
+    ("chirp",): {
+        "chirp_raster.csv": "index,t_req_s,t_release_s,block_freq_Hz",
+        "chirp_trace.csv": TRACE_HEADER,
+    },
+    ("chirp", "--full-map"): {
+        "chirp_raster.csv": "index,t_req_s,t_release_s,block_freq_Hz",
+        "chirp_trace.csv": TRACE_HEADER,
+        "tuning_map.csv": "bias_A\\freq_Hz,180,216.333076528,260",
+        "tuning_map.json": None,
+    },
+    ("sweep-bias",): {
+        "sweep_bias.csv": "I_A,f_res_Hz,f_analytic_Hz,flags",
+        "sweep_fit.json": None,
+    },
+    ("montecarlo",): {
+        "population.json": None,
+        "dies.csv": "die,baseline_U,baseline_V,first_peak_U,first_peak_V,f_res,q_factor,flags",
+    },
+}
+
+
+class TestWriters:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("x", 2.0), [(1.0 / 3.0, True), (np.float64(2.5e-12), np.bool_(False)),
+                                     (np.int64(7), "a;b"), (math.nan, 12)])
+        assert path.read_text() == "x,2\n0.333333333333,1\n2.5e-12,0\n7,a;b\nnan,12\n"
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "payload.json"
+        write_json(path, {"a": (1, 2.5), "b": math.nan})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": NaN\n}\n'
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", list(OUTDIR_CONTRACT), ids=" ".join)
+    def test_outdir_contract(self, argv, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(fast_config), "--outdir", str(out)]) == 0
+        files = OUTDIR_CONTRACT[argv]
+        assert sorted(f.name for f in out.iterdir()) == sorted([*files, "effective_config.yaml"])
+        for name, header in files.items():
+            if header is not None:
+                assert (out / name).read_text().split("\n", 1)[0] == header
+
     def test_ringdown_writes_outputs(self, fast_config, tmp_path):
         out = tmp_path / "out"
         rc = main(["ringdown", "--config", str(fast_config), "--outdir", str(out)])

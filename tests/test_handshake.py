@@ -15,7 +15,8 @@ from rfneuron import (
     SpikeEvent,
     firing_rate,
 )
-from rfneuron.handshake import HandshakeFSM, events_to_csv
+from rfneuron.cli import write_csv
+from rfneuron.handshake import HandshakeFSM
 
 
 def make_fsm(cfg=None):
@@ -129,10 +130,11 @@ class TestSerialization:
     def test_csv_has_12_significant_digits(self, tmp_path):
         events = [SpikeEvent(0, 1.0 / 3.0, 1.0 / 3.0 + 1e-4)]
         path = tmp_path / "events.csv"
-        events_to_csv(events, path)
+        write_csv(path, ("index", "t_req_s", "t_release_s"),
+                  ((e.index, e.t_req, e.t_release) for e in events))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,t_req_s,t_release_s"
-        assert lines[1].split(",")[1] == "0.333333333333"
+        assert lines[1] == "0,0.333333333333,0.333433333333"
 
 
 class TestConfigValidation:

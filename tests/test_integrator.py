@@ -19,6 +19,9 @@ from rfneuron import (
     rhs,
     step,
 )
+from rfneuron.cli import main
+from rfneuron.config import load_config
+from rfneuron.experiments import run_ringdown
 from rfneuron.integrator import _make_deriv, _rk4_once
 from rfneuron.stimuli import Polarity
 
@@ -257,15 +260,21 @@ class TestIntegrate:
                       max_events=max_events)
 
     def test_trace_csv_round_trip(self, tmp_path):
-        p = CircuitParams()
-        cfg = IntegratorConfig(dt=1e-6, t_end=0.005, sample_stride=50)
-        trace, _ = integrate(equilibrium_state(p), p, zero_program(), cfg)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
+        # the CLI's trace file holds every sample of the run to 12 significant digits
+        config = tmp_path / "short.yaml"
+        config.write_text("ringdown: {horizon: 0.005, settle_window: 0.002, integrator: "
+                          "{dt: 1.0e-06, t_end: 0.005, sample_stride: 50}}\n")
+        cfg = load_config(config)
+        trace, _, _ = run_ringdown(cfg.neuron, cfg.ringdown, cfg.handshake)
+        assert main(["ringdown", "--config", str(config), "--outdir", str(tmp_path)]) == 0
+        path = tmp_path / "ringdown_trace.csv"
         header = path.read_text().splitlines()[0]
         assert header == "t_s,U_V,V_V,I_in_A,clamped,overflow"
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         assert data.shape[0] == len(trace)
+        columns = (trace.t, trace.U, trace.V, trace.I_in, trace.clamped, trace.overflow)
+        for j, column in enumerate(columns):
+            np.testing.assert_allclose(data[:, j], column.astype(float), rtol=1e-11, atol=0.0)
 
 
 class TestOrderOfAccuracy:

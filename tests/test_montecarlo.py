@@ -1,12 +1,14 @@
 """Mismatch sampling determinism, propagation, and population statistics."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rfneuron import CircuitParams, MismatchModel, derive_params, sample_die
+from rfneuron import CircuitParams, MismatchModel, derive_params, montecarlo, sample_die
+from rfneuron.cli import main
 from rfneuron.experiments import RingdownSetup
 from rfneuron.integrator import IntegratorConfig
 from rfneuron.montecarlo import run_population
@@ -138,13 +140,46 @@ class TestRunPopulation:
             assert c2 / c1 == pytest.approx(2.0, rel=0.25)
 
     def test_population_csv_and_json(self, tmp_path):
-        base = CircuitParams()
-        stats = run_population(base, MismatchModel(seed=5), 4, fast_setup())
-        stats.to_json(tmp_path / "pop.json")
-        stats.dies_to_csv(tmp_path / "dies.csv")
+        # the CLI's outputs for 4 dies of the fast_setup() protocol
+        config = tmp_path / "mc.yaml"
+        config.write_text(
+            "ringdown: {t0: 1.0e-3, width: 1.0e-4, horizon: 0.12, settle_window: 0.02,\n"
+            "           integrator: {dt: 2.0e-6, t_end: 0.12, sample_stride: 25}}\n"
+            "montecarlo: {n_dies: 4, amplitude: 0.4, model: {seed: 5}}\n")
+        assert main(["montecarlo", "--config", str(config), "--outdir", str(tmp_path)]) == 0
+        pop = json.loads((tmp_path / "population.json").read_text())
+        assert pop["n_dies"] == 4
+        assert pop["metrics"]["f_res"]["n_defined"] == 4
         lines = (tmp_path / "dies.csv").read_text().splitlines()
         assert lines[0].startswith("die,baseline_U")
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("cpus, processes", [(64, 3), (2, 2), (None, None)])
+    def test_pool_size_is_capped(self, monkeypatch, cpus, processes):
+        # a stand-in pool records its size and maps in-process, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        base, m = CircuitParams(), MismatchModel(seed=77)
+        serial = run_population(base, m, 3, fast_setup(), workers=1)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        stats = run_population(base, m, 3, fast_setup(), workers=5000)
+        assert sizes == ([] if processes is None else [processes])
+        assert stats.records == serial.records
+        assert stats.n_resampled == serial.n_resampled
 
     def test_worker_pool_matches_sequential(self):
         base = CircuitParams()
