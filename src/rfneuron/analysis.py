@@ -10,6 +10,16 @@ Frequency uses two independent estimators: the median of inverse
 peak-to-peak intervals and the interpolated maximum of a Hann-windowed
 spectrum.  Records where the two disagree by more than 2% are flagged
 rather than silently trusted.
+
+Every peak comes from one search.  A local maximum is a rise followed by a
+fall; a flat top counts once, at its middle sample ``(left + right) // 2``,
+and a flat top that touches either end of the array is no peak.  A peak's
+prominence is ``x[peak] - max(left_min, right_min)``, where each minimum
+runs from the peak to the nearest strictly higher sample on that side, or to
+the end of the array.  Peaks less prominent than ``PEAK_MIN_PROMINENCE`` are
+dropped.  These are the usual signal-processing definitions (a
+``find_peaks`` with a prominence threshold), and the tests hold the search
+to such a reference implementation index for index.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .core import CircuitParams, NeuronState, Phase, derive_params
 from .errors import UndefinedMetricError
@@ -107,9 +116,59 @@ def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
     return float(np.mean(tr.U[sel])), float(np.mean(tr.V[sel]))
 
 
+def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``x`` at least ``min_prominence`` high.
+
+    The definitions are in the module docstring.  The nearest strictly
+    higher sample beside a peak lies no farther out than the nearest
+    strictly higher peak (or the array end), and the minimum up to either is
+    the same, so the search runs over the peaks alone: one ``reduceat`` gives the
+    minimum between neighbouring peaks, and ``_lowest_back_to_higher``
+    merges those minima out to the next higher peak on each side.
+    """
+    d = np.diff(x)
+    moves = np.flatnonzero(d)
+    rising = d[moves] > 0.0
+    top = rising[:-1] & ~rising[1:]
+    peaks = (moves[:-1][top] + 1 + moves[1:][top]) // 2
+    if len(peaks) == 0:
+        return peaks
+    # gaps[k] is the minimum between peak k-1 (or the start) and peak k; the
+    # last entry runs from the last peak to the end
+    gaps = np.minimum.reduceat(x, np.concatenate(([0], peaks))).tolist()
+    heights = x[peaks]
+    left = _lowest_back_to_higher(heights.tolist(), gaps[:-1])
+    right = _lowest_back_to_higher(heights[::-1].tolist(), gaps[:0:-1])[::-1]
+    prominence = heights - np.maximum(left, right)
+    return peaks[prominence >= min_prominence]
+
+
+def _lowest_back_to_higher(heights: list[float], gaps: list[float]) -> list[float]:
+    """Per peak, the lowest sample back to the nearest strictly higher peak.
+
+    ``gaps[j]`` is the minimum between peak j and the peak before it (or
+    the array end).  A monotonic stack of (height, lowest sample back to the
+    peak below it on the stack) keeps the pass linear in the peak count.
+    """
+    stack: list[tuple[float, float]] = []
+    lows = []
+    for height, low in zip(heights, gaps):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        lows.append(low)
+        stack.append((height, low))
+    return lows
+
+
 def _channel_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prominence-filtered local maxima; times refined by parabolic fit."""
-    idx, _ = find_peaks(x, prominence=PEAK_MIN_PROMINENCE)
+    """Prominence-filtered local maxima; times refined by parabolic fit.
+
+    A non-finite sample makes the peaks undefined and raises
+    :class:`UndefinedMetricError`.
+    """
+    if not np.all(np.isfinite(x)):
+        raise UndefinedMetricError("non-finite sample in the peak search")
+    idx = _find_peaks(x, PEAK_MIN_PROMINENCE)
     if len(idx) == 0:
         return np.empty(0), np.empty(0)
     times, values = [], []

@@ -156,7 +156,8 @@ def run_population(
 
     Dies are independent; they run on a process pool of
     ``min(workers, n_dies, os.cpu_count())`` processes when that is above
-    one, and the pool's ordered map keeps the result identical to a
+    one.  Each process gets one chunk of ``ceil(n_dies / processes)``
+    dies, and the pool's ordered map keeps the result identical to a
     sequential run.  Every die's ringdown uses ``protocol`` (by default a
     self-acknowledge hold of the die's ``T_spk``).  Dies whose metric is
     undefined are excluded from that metric's statistics and counted in
@@ -170,7 +171,8 @@ def run_population(
     processes = min(workers, n_dies, os.cpu_count() or 1)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_die_metrics, jobs, chunksize=4))
+            chunksize = math.ceil(n_dies / processes)
+            results = list(pool.map(_die_metrics, jobs, chunksize=chunksize))
     else:
         results = list(map(_die_metrics, jobs))
     records = tuple(rec for rec, _ in results)

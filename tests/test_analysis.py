@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfneuron import (
     CircuitParams,
@@ -23,9 +25,15 @@ from rfneuron import (
     step,
     tuning_map,
 )
-from rfneuron.analysis import TuningMap, resonant_frequency_estimates
+from rfneuron.analysis import (
+    PEAK_MIN_PROMINENCE,
+    TuningMap,
+    _channel_peaks,
+    _find_peaks,
+    resonant_frequency_estimates,
+)
 from rfneuron.cli import write_csv, write_json
-from rfneuron.experiments import ringdown_metrics
+from rfneuron.experiments import ringdown_metrics, run_chirp, run_ringdown
 from rfneuron.stimuli import Polarity
 
 
@@ -106,6 +114,69 @@ class TestExtractFirstPeak:
                    overflow=np.zeros_like(t, dtype=bool))
         with pytest.raises(UndefinedMetricError):
             extract_first_peak(tr, t_stim_end=0.0)
+
+
+PROMINENCES = (0.0, PEAK_MIN_PROMINENCE, 5.0 * PEAK_MIN_PROMINENCE)
+
+# small integers in steps of the detection floor give plateaus, flat edges and
+# prominences that land exactly on the threshold
+_stepped = st.lists(st.integers(0, 4), max_size=60).map(
+    lambda xs: np.asarray(xs, dtype=float) * PEAK_MIN_PROMINENCE)
+_smooth = st.lists(st.floats(-1e-3, 1e-3), max_size=60).map(
+    lambda xs: np.asarray(xs, dtype=float))
+
+
+@pytest.fixture(scope="module")
+def reference_find_peaks():
+    """scipy's peak finder, the oracle; scipy is a test-only dependency."""
+    return pytest.importorskip("scipy.signal").find_peaks
+
+
+@pytest.fixture(scope="module")
+def default_traces():
+    ringdown, _, _ = run_ringdown(CircuitParams())
+    chirp, _, _ = run_chirp(CircuitParams())
+    return {"ringdown": ringdown, "chirp": chirp}
+
+
+class TestFindPeaks:
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.one_of(_stepped, _smooth))
+    def test_matches_reference_on_random_arrays(self, reference_find_peaks, x):
+        for prominence in PROMINENCES:
+            expected = reference_find_peaks(x, prominence=prominence)[0]
+            np.testing.assert_array_equal(_find_peaks(x, prominence), expected)
+
+    @pytest.mark.parametrize("x", [[], [1.0], [1.0, 2.0], [2.0, 1.0], [0.5] * 7],
+                             ids=["empty", "one", "two-rising", "two-falling", "constant"])
+    def test_short_and_constant_arrays_have_no_peak(self, reference_find_peaks, x):
+        x = np.asarray(x, dtype=float)
+        for prominence in PROMINENCES:
+            assert len(reference_find_peaks(x, prominence=prominence)[0]) == 0
+            assert len(_find_peaks(x, prominence)) == 0
+
+    def test_plateau_counts_at_its_middle_and_not_at_an_edge(self):
+        x = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0])
+        np.testing.assert_array_equal(_find_peaks(x, 0.0), [2])
+
+    @pytest.mark.parametrize("name", ["ringdown", "chirp"])
+    def test_matches_reference_on_default_traces(self, reference_find_peaks,
+                                                 default_traces, name):
+        tr = default_traces[name]
+        for x in (tr.U, tr.V, -tr.U, -tr.V):
+            expected = reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0]
+            assert len(expected) > 10
+            np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_makes_every_peak_metric_undefined(self, bad):
+        tr = synthetic_ringdown()
+        tr.U[len(tr) // 2] = tr.V[len(tr) // 2] = bad
+        with pytest.raises(UndefinedMetricError, match="non-finite"):
+            _channel_peaks(tr.t, tr.V)
+        m = ringdown_metrics(tr, t_stim_end=2e-3, settle_window=tr.t[-1] / 5)
+        assert {"no-peak", "f-res-undefined", "q-undefined"} <= set(m.flags)
+        assert math.isnan(m.first_peak_V) and math.isnan(m.f_res) and math.isnan(m.q_factor)
 
 
 class TestResonantFrequency:

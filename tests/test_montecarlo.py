@@ -156,8 +156,29 @@ class TestRunPopulation:
 
     @pytest.mark.parametrize("cpus, processes", [(64, 3), (2, 2), (None, None)])
     def test_pool_size_is_capped(self, monkeypatch, cpus, processes):
-        # a stand-in pool records its size and maps in-process, so no process starts
-        sizes = []
+        sizes, _ = self.install_inline_pool(monkeypatch, cpus)
+        base, m = CircuitParams(), MismatchModel(seed=77)
+        serial = run_population(base, m, 3, fast_setup(), workers=1)
+        stats = run_population(base, m, 3, fast_setup(), workers=5000)
+        assert sizes == ([] if processes is None else [processes])
+        assert stats.records == serial.records
+        assert stats.n_resampled == serial.n_resampled
+
+    @pytest.mark.parametrize("n_dies, workers, chunksize",
+                             [(2, 2, 1), (4, 2, 2), (5, 2, 3), (8, 2, 4), (7, 3, 3)])
+    def test_every_process_gets_one_chunk(self, monkeypatch, n_dies, workers, chunksize):
+        # a population of 4 dies in chunks of 4 ran on one worker of the pool
+        _, chunks = self.install_inline_pool(monkeypatch, cpus=64)
+        setup = RingdownSetup(t0=1e-3, width=1e-4, horizon=0.01, settle_window=2e-3,
+                              integrator=IntegratorConfig(t_end=0.01))
+        run_population(CircuitParams(), MismatchModel(seed=77), n_dies, setup, workers=workers)
+        assert chunks == [chunksize]
+
+    @staticmethod
+    def install_inline_pool(monkeypatch, cpus):
+        """A stand-in pool that records its size and chunk size and maps in-process,
+        so no process starts."""
+        sizes, chunks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -170,16 +191,12 @@ class TestRunPopulation:
                 return False
 
             def map(self, fn, jobs, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, jobs)
 
-        base, m = CircuitParams(), MismatchModel(seed=77)
-        serial = run_population(base, m, 3, fast_setup(), workers=1)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        stats = run_population(base, m, 3, fast_setup(), workers=5000)
-        assert sizes == ([] if processes is None else [processes])
-        assert stats.records == serial.records
-        assert stats.n_resampled == serial.n_resampled
+        return sizes, chunks
 
     def test_worker_pool_matches_sequential(self):
         base = CircuitParams()
