@@ -99,8 +99,8 @@ class TuningMap:
 def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
     """Mean (U, V) over the final ``settle_window`` seconds of the trace.
 
-    The window must be clamp-free: a handshake inside it would bias the mean
-    with held voltages.
+    Raises ``ValueError`` unless the window's samples are finite and
+    clamp-free: a handshake inside it would bias the mean with held voltages.
     """
     if settle_window <= 0.0:
         raise ValueError("settle_window must be positive")
@@ -113,7 +113,10 @@ def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
     sel = tr.t >= t_lo
     if np.any(tr.clamped[sel]):
         raise ValueError("settle window contains clamped samples")
-    return float(np.mean(tr.U[sel])), float(np.mean(tr.V[sel]))
+    u, v = tr.U[sel], tr.V[sel]
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("settle window contains non-finite samples")
+    return float(np.mean(u)), float(np.mean(v))
 
 
 def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
@@ -320,11 +323,11 @@ def fi_curve(
         cfg = IntegratorConfig(t_end=timeout)
     else:
         cfg = replace(cfg, t_end=timeout)
+    dp = derive_params(p)
+    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
     rows: list[tuple[float, float, float]] = []
     for level in levels:
         prog = step(0.0, 0.0, level, v_limit=p.V_DD)
-        dp = derive_params(p)
-        s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
         _, events = integrate(s0, p, prog, cfg, protocol, max_events=spikes_per_point)
         rate = firing_rate(events)
         std = 0.0 if not rate.defined else rate.std_hz

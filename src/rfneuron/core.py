@@ -261,6 +261,10 @@ def rhs(
     zero-input equilibrium.  Voltages are saturated to the guard window
     before entering the exponentials so an out-of-range state degrades
     gracefully rather than overflowing.
+
+    This is the readable oracle of the integrator's hot kernel,
+    ``integrator._make_step``, which inlines the same expressions into its
+    four RK4 stages and is tested against this function.
     """
     if s.phase is not Phase.OSCILLATE:
         raise ValueError("rhs is defined only in the OSCILLATE phase")

@@ -212,7 +212,8 @@ def ringdown_metrics(
     try:
         baseline_U, baseline_V = extract_baseline(tr, settle_window)
     except ValueError:
-        # a die whose ringdown spiked holds clamped samples in the tail
+        # a die whose ringdown spiked holds clamped samples in the tail, and
+        # a window with a non-finite sample has no mean
         flags.append("baseline-undefined")
     first_peak_U = first_peak_V = math.nan
     try:

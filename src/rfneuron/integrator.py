@@ -1,5 +1,9 @@
 """Fixed-step RK4 integration with exact event handling.
 
+``_make_step`` is the only RK4 step: one closure per constant-drive span
+with the four stages written out inline; ``core.rhs`` is its oracle.  The
+grid step, the bisection probes and the crossing state all go through it.
+
 The stops are computed, not stored: grid stop k is ``k * dt``, the last
 stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
 from the grid is an extra stop, so no RK4 substep straddles a drive
@@ -38,8 +42,6 @@ MIN_STEPS_PER_PERIOD = 50.0
 
 # Relative tolerance used when snapping breakpoints onto the step grid.
 _GRID_SNAP = 1e-9
-
-Deriv = Callable[[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -107,38 +109,54 @@ class Trace:
         return bool(np.any(self.overflow))
 
 
-def _rk4_once(u: float, v: float, h: float, f: Deriv) -> tuple[float, float]:
-    """RK4 update with a time-independent derivative (constant drive)."""
-    half = 0.5 * h
-    du1, dv1 = f(u, v)
-    du2, dv2 = f(u + half * du1, v + half * dv1)
-    du3, dv3 = f(u + half * du2, v + half * dv2)
-    du4, dv4 = f(u + h * du3, v + h * dv3)
-    return (
-        u + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0,
-        v + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0,
-    )
+def _make_step(
+    p: CircuitParams, ref: DerivedParams, I_in: float
+) -> Callable[[float, float, float], tuple[float, float]]:
+    """RK4 step ``step(u, v, h) -> (u, v)`` for one constant-drive span.
 
-
-def _make_deriv(p: CircuitParams, ref: DerivedParams, I_in: float) -> Deriv:
-    """Closure evaluating the node derivatives for one constant-drive span."""
+    The four stages evaluate ``core.rhs`` inline: each clamps its exponential
+    arguments to the guard window, and the arithmetic is ``core.rhs``'s up to
+    ``* (1/C)`` in place of ``/ C``.
+    """
     a = p.exp_slope
     In0a, In0b = p.In0_alpha, p.In0_beta
-    IIU, IIV, g = p.I_IU, p.I_IV, p.g_damp
+    I_U = I_in + p.I_IU  # core.rhs adds these two first, so folding them is exact
+    IIV, g = p.I_IV, p.g_damp
     inv_C1, inv_C2 = 1.0 / p.C1, 1.0 / p.C2
     Uref, Vref = ref.U_star, ref.V_star
     vmin, vmax = p.v_min_guard, p.v_max_guard
     exp = math.exp
 
-    def f(u: float, v: float) -> tuple[float, float]:
-        ua = vmin if u < vmin else (vmax if u > vmax else u)
-        va = vmin if v < vmin else (vmax if v > vmax else v)
+    def step(u: float, v: float, h: float) -> tuple[float, float]:
+        half = 0.5 * h
+        x = vmin if u < vmin else (vmax if u > vmax else u)
+        y = vmin if v < vmin else (vmax if v > vmax else v)
+        du1 = (I_U - In0b * exp(a * y) - g * (u - Uref)) * inv_C1
+        dv1 = (In0a * exp(a * x) - IIV - g * (v - Vref)) * inv_C2
+        u2 = u + half * du1
+        v2 = v + half * dv1
+        x = vmin if u2 < vmin else (vmax if u2 > vmax else u2)
+        y = vmin if v2 < vmin else (vmax if v2 > vmax else v2)
+        du2 = (I_U - In0b * exp(a * y) - g * (u2 - Uref)) * inv_C1
+        dv2 = (In0a * exp(a * x) - IIV - g * (v2 - Vref)) * inv_C2
+        u3 = u + half * du2
+        v3 = v + half * dv2
+        x = vmin if u3 < vmin else (vmax if u3 > vmax else u3)
+        y = vmin if v3 < vmin else (vmax if v3 > vmax else v3)
+        du3 = (I_U - In0b * exp(a * y) - g * (u3 - Uref)) * inv_C1
+        dv3 = (In0a * exp(a * x) - IIV - g * (v3 - Vref)) * inv_C2
+        u4 = u + h * du3
+        v4 = v + h * dv3
+        x = vmin if u4 < vmin else (vmax if u4 > vmax else u4)
+        y = vmin if v4 < vmin else (vmax if v4 > vmax else v4)
+        du4 = (I_U - In0b * exp(a * y) - g * (u4 - Uref)) * inv_C1
+        dv4 = (In0a * exp(a * x) - IIV - g * (v4 - Vref)) * inv_C2
         return (
-            (I_in + IIU - In0b * exp(a * va) - g * (u - Uref)) * inv_C1,
-            (In0a * exp(a * ua) - IIV - g * (v - Vref)) * inv_C2,
+            u + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0,
+            v + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0,
         )
 
-    return f
+    return step
 
 
 def integrate(
@@ -205,13 +223,13 @@ def integrate(
         return not (vmin <= x <= vmax and vmin <= y <= vmax)
 
     def drive(x: float):
-        """The constant-drive segment at ``x``, its input current and derivative closure."""
+        """Bounds of the constant-drive segment at ``x``, its input current and RK4 step."""
         seg = prog.segment_at(x)
         i_in = synapse_current(seg.V_exc, seg.V_inh, p)
-        return seg, i_in, _make_deriv(p, ref, i_in)
+        return seg.t_start, seg.t_end, i_in, _make_step(p, ref, i_in)
 
     t, u, v = s0.t, s0.U, s0.V
-    cur_seg, I_in, f = drive(t)
+    seg_lo, seg_hi, I_in, f = drive(t)
     rows = [(t, u, v, I_in, False, out_of_range(u, v))]
     k, e = after(t)
 
@@ -225,10 +243,10 @@ def integrate(
             k += 1
         h = t_next - t
         mid = t + 0.5 * h
-        if not (cur_seg.t_start <= mid < cur_seg.t_end):
-            cur_seg, I_in, f = drive(mid)
+        if not (seg_lo <= mid < seg_hi):
+            seg_lo, seg_hi, I_in, f = drive(mid)
 
-        u_new, v_new = _rk4_once(u, v, h, f)
+        u_new, v_new = f(u, v, h)
         if not v < V_th <= v_new:
             t, u, v = t_next, u_new, v_new
             if sample:
@@ -238,12 +256,12 @@ def integrate(
         lo, hi = t, t_next
         while hi - lo > tol:
             m = 0.5 * (lo + hi)
-            _, v_m = _rk4_once(u, v, m - t, f)
+            _, v_m = f(u, v, m - t)
             if v_m >= V_th:
                 hi = m
             else:
                 lo = m
-        u_c, v_c = _rk4_once(u, v, hi - t, f)
+        u_c, v_c = f(u, v, hi - t)
         clamped, event = fsm.on_threshold(hi, NeuronState(t=hi, U=u_c, V=v_c))
         rows.append((hi, clamped.U, clamped.V, 0.0, True, False))
         if max_events is not None and len(fsm.events) >= max_events:
@@ -263,7 +281,7 @@ def integrate(
             break
         released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
         t, u, v = released.t, released.U, released.V
-        cur_seg, I_in, f = drive(t)
+        seg_lo, seg_hi, I_in, f = drive(t)
         rows.append((t, u, v, I_in, False, out_of_range(u, v)))
         k, e = after(t)
 

@@ -87,6 +87,15 @@ class TestExtractBaseline:
         with pytest.raises(ValueError):
             extract_baseline(tr, settle_window=10 * tr.t[-1])
 
+    @pytest.mark.parametrize("column, value", [("U", math.nan), ("V", math.inf)])
+    def test_non_finite_sample_in_window_rejected(self, column, value):
+        tr = synthetic_ringdown()
+        getattr(tr, column)[-3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_baseline(tr, settle_window=tr.t[-1] / 5)
+        metrics = ringdown_metrics(tr, 2e-3, tr.t[-1] / 5)
+        assert "baseline-undefined" in metrics.flags
+
 
 class TestExtractFirstPeak:
     def test_known_first_peak_recovered(self):

@@ -21,8 +21,8 @@ from rfneuron import (
 )
 from rfneuron.cli import main
 from rfneuron.config import load_config
-from rfneuron.experiments import run_ringdown
-from rfneuron.integrator import _make_deriv, _rk4_once
+from rfneuron.experiments import ringdown_metrics, run_ringdown
+from rfneuron.integrator import _make_step
 from rfneuron.stimuli import Polarity
 
 
@@ -35,47 +35,109 @@ def zero_program():
     return step(0.0, 0.0, 0.0, Polarity.EXC)
 
 
+def rk4_from_rhs(p, ref, I_in, U, V, h):
+    """One classical RK4 step built from ``core.rhs``, and the four stage states."""
+    stages = []
+
+    def f(u, v):
+        stages.append((u, v))
+        return rhs(NeuronState(t=0.0, U=u, V=v), p, I_in, ref)
+
+    half = 0.5 * h
+    du1, dv1 = f(U, V)
+    du2, dv2 = f(U + half * du1, V + half * dv1)
+    du3, dv3 = f(U + half * du2, V + half * dv2)
+    du4, dv4 = f(U + h * du3, V + h * dv3)
+    return (
+        (U + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0,
+         V + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0),
+        stages,
+    )
+
+
+def saturated(p: CircuitParams, balanced: bool) -> CircuitParams:
+    """Undamped ``p``: above the guard window its derivative is constant.
+
+    Both exponentials saturate at ``v_max_guard`` there and the leak is off,
+    so every RK4 stage sees the same derivative.  ``balanced`` sets each bias
+    to its saturated branch current, which makes that derivative zero.
+    """
+    p = dataclasses.replace(p, g_damp=0.0)
+    if balanced:
+        top = math.exp(p.exp_slope * p.v_max_guard)
+        p = dataclasses.replace(p, I_IU=p.In0_beta * top, I_IV=p.In0_alpha * top)
+    return p
+
+
 class TestStepRK4:
+    # above the 1.7 V guard; a 10 ns step keeps every stage there
+    ABOVE, H = 2.0, 1e-8
+
     def test_zero_rhs_leaves_state_unchanged(self):
-        assert _rk4_once(0.7, 0.8, 1e-3, lambda u, v: (0.0, 0.0)) == (0.7, 0.8)
+        p = saturated(CircuitParams(), balanced=True)
+        step_fn = _make_step(p, derive_params(p), 0.0)
+        assert step_fn(self.ABOVE, self.ABOVE, self.H) == (self.ABOVE, self.ABOVE)
 
     def test_constant_rhs_is_exact(self):
-        u, v = _rk4_once(0.0, 0.0, 0.25, lambda u, v: (2.0, -4.0))
-        assert u == pytest.approx(0.5, rel=1e-15)
-        assert v == pytest.approx(-1.0, rel=1e-15)
+        p = saturated(CircuitParams(), balanced=False)
+        ref = derive_params(p)
+        du, dv = rhs(NeuronState(t=0.0, U=self.ABOVE, V=self.ABOVE), p, 0.0, ref)
+        u, v = _make_step(p, ref, 0.0)(self.ABOVE, self.ABOVE, self.H)
+        assert u - self.ABOVE == pytest.approx(self.H * du, rel=1e-12)
+        assert v - self.ABOVE == pytest.approx(self.H * dv, rel=1e-12)
+        assert min(u, v) > p.v_max_guard  # the derivative really stayed constant
 
-    def test_fourth_order_convergence_on_rotation(self):
-        # du/dt = -w v, dv/dt = w u has the exact solution of a rotation
-        w = 2 * math.pi * 100.0
+    def test_fourth_order_convergence_over_one_period(self):
+        # the undamped circuit over one period of an 80 mV orbit: the final
+        # error must shrink ~16x per halving of the step
+        p = dataclasses.replace(CircuitParams(), g_damp=0.0, I_n0_beta=None)
+        dp = derive_params(p)
+        period = 1.0 / dp.f_res
+        step_fn = _make_step(p, dp, 0.0)
 
-        def rot(u, v):
-            return (-w * v, w * u)
-
-        def final_error(dt):
-            n = int(round((1.0 / 100.0) / dt))
-            u, v = 1.0, 0.0
+        def final_state(n):
+            u, v, h = dp.U_star - 0.08, dp.V_star, period / n
             for _ in range(n):
-                u, v = _rk4_once(u, v, dt, rot)
-            return math.hypot(u - 1.0, v - 0.0)
+                u, v = step_fn(u, v, h)
+            return u, v
 
-        e1 = final_error(1e-5)
-        e2 = final_error(5e-6)
-        assert 12.0 < e1 / e2 < 20.0
+        ref = final_state(12800)
+        e1, e2 = final_state(400), final_state(800)
+        err1 = math.hypot(e1[0] - ref[0], e1[1] - ref[1])
+        err2 = math.hypot(e2[0] - ref[0], e2[1] - ref[1])
+        assert 12.0 < err1 / err2 < 20.0
+
+
+# starts inside the guard window; the second stage leaves it
+LATER_STAGE_EXIT = (1.0, 1.695)
 
 
 class TestDerivative:
+    I_IN, H = -3e-11, 1e-5
+
     @pytest.mark.parametrize("U, V", [
         (0.70, 0.80),                 # inside the voltage guard window
         (-0.5, 0.80),                 # U below the guard
         (0.70, 2.0),                  # V above the guard
+        LATER_STAGE_EXIT,
     ])
     def test_kernel_matches_core_rhs(self, U, V):
         p = CircuitParams()
-        I_in = -3e-11
         ref = derive_params(p, I_in=2e-11)
-        expected = rhs(NeuronState(t=0.0, U=U, V=V), p, I_in, ref)
-        got = _make_deriv(p, ref, I_in)(U, V)
+        expected, _ = rk4_from_rhs(p, ref, self.I_IN, U, V, self.H)
+        got = _make_step(p, ref, self.I_IN)(U, V, self.H)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_later_stage_exit_starts_inside_and_leaves(self):
+        p = CircuitParams()
+        _, stages = rk4_from_rhs(p, derive_params(p, I_in=2e-11), self.I_IN,
+                                 *LATER_STAGE_EXIT, self.H)
+
+        def inside(x):
+            return p.v_min_guard <= x <= p.v_max_guard
+
+        assert all(map(inside, stages[0]))
+        assert not all(inside(x) for stage in stages[1:] for x in stage)
 
 
 class TestRefineCrossing:
@@ -221,6 +283,21 @@ class TestIntegrate:
         assert np.array_equal(t1.U, t2.U)
         assert np.array_equal(t1.V, t2.V)
         assert np.array_equal(t1.t, t2.t)
+
+    @pytest.mark.parametrize("U, V", [(-0.5, None), (None, 1.9)])
+    def test_start_outside_the_guard_window(self, U, V):
+        # the exponentials saturate instead of overflowing; every sample
+        # outside [v_min_guard, v_max_guard] and only those carry the flag
+        p = CircuitParams()
+        dp = derive_params(p)
+        s0 = NeuronState(t=0.0, U=dp.U_star if U is None else U, V=dp.V_star if V is None else V)
+        trace, _ = integrate(s0, p, zero_program(), IntegratorConfig(t_end=0.06))
+        assert np.all(np.isfinite(trace.U)) and np.all(np.isfinite(trace.V))
+        lo, hi = p.v_min_guard, p.v_max_guard
+        outside = ~((lo <= trace.U) & (trace.U <= hi) & (lo <= trace.V) & (trace.V <= hi))
+        assert outside[0]
+        assert np.array_equal(trace.overflow, outside)
+        assert "overflow" in ringdown_metrics(trace, 0.0, 0.01).flags
 
     def test_coarse_dt_rejected(self):
         p = CircuitParams()
