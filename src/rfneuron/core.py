@@ -228,7 +228,9 @@ def derive_params(p: CircuitParams, I_in: float = 0.0) -> DerivedParams:
     ------
     ConfigError
         If a branch bias does not exceed its process current, in which case
-        the equilibrium logarithm has no positive argument.
+        the equilibrium logarithm has no positive argument, or if U* or V*
+        lies outside the guard window [``v_min_guard``, ``v_max_guard``],
+        where ``integrate()`` refuses to start.
     """
     a = p.exp_slope
     I_beta_star = p.I_IU + I_in
@@ -240,6 +242,12 @@ def derive_params(p: CircuitParams, I_in: float = 0.0) -> DerivedParams:
         )
     U_star = math.log(p.I_IV / p.In0_alpha) / a
     V_star = math.log(I_beta_star / p.In0_beta) / a
+    for name, x in (("U*", U_star), ("V*", V_star)):
+        if not p.v_min_guard <= x <= p.v_max_guard:
+            raise ConfigError(
+                f"equilibrium {name} = {x!r} V lies outside the guard window "
+                f"[{p.v_min_guard!r}, {p.v_max_guard!r}]"
+            )
     omega = a * math.sqrt(p.I_IV * I_beta_star / (p.C1 * p.C2))
     b = -0.5 * p.g_damp * (1.0 / p.C1 + 1.0 / p.C2)
     Q = math.inf if b == 0.0 else omega / (2.0 * abs(b))
@@ -262,9 +270,10 @@ def rhs(
     before entering the exponentials so an out-of-range state degrades
     gracefully rather than overflowing.
 
-    This is the readable oracle of the integrator's hot kernel,
-    ``integrator._make_step``, which inlines the same expressions into its
-    four RK4 stages and is tested against this function.
+    This is the readable oracle of the integrator's hot kernel, the RK4
+    step in C in ``_rk4.c``, which evaluates the same expressions in the
+    same order at each of its four stages and is tested against this
+    function.
     """
     if s.phase is not Phase.OSCILLATE:
         raise ValueError("rhs is defined only in the OSCILLATE phase")

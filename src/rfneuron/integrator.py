@@ -1,8 +1,15 @@
 """Fixed-step RK4 integration with exact event handling.
 
-``_make_step`` is the only RK4 step: one closure per constant-drive span
-with the four stages written out inline; ``core.rhs`` is its oracle.  The
-grid step, the bisection probes and the crossing state all go through it.
+The RK4 step is written once, in C (``_rk4.c``), with ``core.rhs``'s
+arithmetic in its operation order; ``core.rhs`` is its readable oracle.  The
+C file holds a one-step entry and a span runner.  The runner takes the quiet
+grid stops of a run: it samples into the trace's column buffers and returns
+at the first stop it must not take, when an extra stop is due, the step
+midpoint leaves the current drive segment, V crosses ``V_th``, the sample
+buffer is full, or the run is over.  ``integrate()`` takes that stop in
+Python and keeps all of the control flow: extra stops, segment switches,
+the crossing bisection (through the one-step entry), the handshake hold and
+``max_events``.
 
 The stops are computed, not stored: grid stop k is ``k * dt``, the last
 stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
@@ -15,14 +22,26 @@ lies beyond it, and integration then resumes mid-grid.
 
 Traces hold every ``sample_stride``-th grid stop and ``t_end``, plus samples
 at clamp entry and release that delimit each clamp window exactly.
+
+Importing this module needs ``gcc`` on ``PATH`` the first time: it compiles
+``_rk4.c`` with ``-O2 -ffp-contract=off`` (no fast-math, which would change
+the arithmetic) into ``__pycache__`` beside it, or into a private directory
+under the temp dir when that is read-only, and loads it with ``ctypes``.
+Later imports load the cached build, keyed by the CRC-32 of the source and
+the flags.  Without ``gcc`` and a cached build the import fails with one
+``ImportError``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import tempfile
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +61,86 @@ MIN_STEPS_PER_PERIOD = 50.0
 
 # Relative tolerance used when snapping breakpoints onto the step grid.
 _GRID_SNAP = 1e-9
+
+_KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+_PARAMS = ctypes.c_double * 12
+_PAIR = ctypes.c_double * 2
+_TUV = ctypes.c_double * 3
+_KN = ctypes.c_int64 * 2
+
+
+def _compile(source: Path, out: str) -> None:
+    import subprocess  # only a cache miss needs it
+
+    cmd = ["gcc", *_CFLAGS, "-o", out, str(source), "-lm"]
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, text=True, timeout=300)
+    except OSError as exc:
+        raise ImportError(f"rfneuron needs gcc on PATH to build its RK4 kernel: {exc}") from None
+    except subprocess.SubprocessError as exc:
+        detail = (getattr(exc, "stderr", None) or "").strip()
+        raise ImportError(f"gcc could not build {source}: {exc} {detail}".strip()) from None
+
+
+def _private_temp_dir() -> Path:
+    """This user's cache directory in the temp dir, refused if anyone else can write it."""
+    path = Path(tempfile.gettempdir()) / f"rfneuron-{os.getuid()}"
+    path.mkdir(mode=0o700, exist_ok=True)
+    st = path.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise ImportError(f"{path} is not a private directory; remove it to cache the RK4 kernel")
+    return path
+
+
+def _build_in(cache: Path, source: Path, name: str) -> Path:
+    """The build ``cache / name``, compiled there first on a miss.
+
+    Raises ``OSError`` when ``cache`` cannot be written.  gcc writes a
+    temporary file that is then renamed into place, so a concurrent import
+    never loads a partial build.
+    """
+    so = cache / name
+    if so.is_file():
+        return so
+    cache.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+    os.close(fd)
+    try:
+        _compile(source, tmp)
+        os.replace(tmp, so)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return so
+
+
+def _load_kernel(source: Path = _KERNEL_SOURCE) -> ctypes.CDLL:
+    """Load the compiled ``source``, building it with gcc on a cache miss."""
+    key = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(source.read_bytes()))
+    name = f"{source.stem}-{key:08x}.so"
+    for cache in (lambda: source.parent / "__pycache__", _private_temp_dir):
+        try:
+            so = _build_in(cache(), source, name)
+            break
+        except OSError:
+            continue  # not writable: try the next directory
+    else:
+        raise ImportError(f"no writable cache directory for the RK4 kernel built from {source}")
+    lib = ctypes.CDLL(str(so))
+    double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+    lib.rf_step.argtypes = (double_p, double_p, ctypes.c_double)
+    lib.rf_step.restype = None
+    lib.rf_run.argtypes = (
+        double_p, double_p, int64_p, ctypes.c_int64, ctypes.c_int64,
+        *[ctypes.c_double] * 7, ctypes.c_void_p, ctypes.c_int64,
+    )
+    lib.rf_run.restype = None
+    return lib
+
+
+_lib = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -109,54 +208,51 @@ class Trace:
         return bool(np.any(self.overflow))
 
 
-def _make_step(
-    p: CircuitParams, ref: DerivedParams, I_in: float
-) -> Callable[[float, float, float], tuple[float, float]]:
-    """RK4 step ``step(u, v, h) -> (u, v)`` for one constant-drive span.
+def _span_params(p: CircuitParams, ref: DerivedParams, I_in: float) -> ctypes.Array:
+    """The kernel's constants for one constant-drive span, in ``_rk4.c``'s order."""
+    return _PARAMS(
+        p.exp_slope, p.In0_alpha, p.In0_beta,
+        I_in + p.I_IU,  # core.rhs adds these two first, so folding them is exact
+        p.I_IV, p.g_damp, 1.0 / p.C1, 1.0 / p.C2, ref.U_star, ref.V_star,
+        p.v_min_guard, p.v_max_guard,
+    )
 
-    The four stages evaluate ``core.rhs`` inline: each clamps its exponential
-    arguments to the guard window, and the arithmetic is ``core.rhs``'s up to
-    ``* (1/C)`` in place of ``/ C``.
-    """
-    a = p.exp_slope
-    In0a, In0b = p.In0_alpha, p.In0_beta
-    I_U = I_in + p.I_IU  # core.rhs adds these two first, so folding them is exact
-    IIV, g = p.I_IV, p.g_damp
-    inv_C1, inv_C2 = 1.0 / p.C1, 1.0 / p.C2
-    Uref, Vref = ref.U_star, ref.V_star
-    vmin, vmax = p.v_min_guard, p.v_max_guard
-    exp = math.exp
 
-    def step(u: float, v: float, h: float) -> tuple[float, float]:
-        half = 0.5 * h
-        x = vmin if u < vmin else (vmax if u > vmax else u)
-        y = vmin if v < vmin else (vmax if v > vmax else v)
-        du1 = (I_U - In0b * exp(a * y) - g * (u - Uref)) * inv_C1
-        dv1 = (In0a * exp(a * x) - IIV - g * (v - Vref)) * inv_C2
-        u2 = u + half * du1
-        v2 = v + half * dv1
-        x = vmin if u2 < vmin else (vmax if u2 > vmax else u2)
-        y = vmin if v2 < vmin else (vmax if v2 > vmax else v2)
-        du2 = (I_U - In0b * exp(a * y) - g * (u2 - Uref)) * inv_C1
-        dv2 = (In0a * exp(a * x) - IIV - g * (v2 - Vref)) * inv_C2
-        u3 = u + half * du2
-        v3 = v + half * dv2
-        x = vmin if u3 < vmin else (vmax if u3 > vmax else u3)
-        y = vmin if v3 < vmin else (vmax if v3 > vmax else v3)
-        du3 = (I_U - In0b * exp(a * y) - g * (u3 - Uref)) * inv_C1
-        dv3 = (In0a * exp(a * x) - IIV - g * (v3 - Vref)) * inv_C2
-        u4 = u + h * du3
-        v4 = v + h * dv3
-        x = vmin if u4 < vmin else (vmax if u4 > vmax else u4)
-        y = vmin if v4 < vmin else (vmax if v4 > vmax else v4)
-        du4 = (I_U - In0b * exp(a * y) - g * (u4 - Uref)) * inv_C1
-        dv4 = (In0a * exp(a * x) - IIV - g * (v4 - Vref)) * inv_C2
-        return (
-            u + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0,
-            v + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0,
-        )
+def _step(prm: ctypes.Array, u: float, v: float, h: float) -> tuple[float, float]:
+    """One RK4 step of length ``h`` from (u, v) with the constants ``prm``."""
+    uv = _PAIR(u, v)
+    _lib.rf_step(prm, uv, h)
+    return uv[0], uv[1]
 
-    return step
+
+class _Rows:
+    """Trace rows in column buffers that the span runner and ``integrate()`` both fill."""
+
+    def __init__(self, cap: int) -> None:
+        self.cols = np.empty((4, cap))  # t, U, V, I_in; C order, as rf_run writes them
+        self.clamped = np.zeros(cap, dtype=bool)
+        self.ptr = self.cols.ctypes.data
+        self.n = 0
+
+    @property
+    def cap(self) -> int:
+        return len(self.clamped)
+
+    def add(self, t: float, u: float, v: float, I_in: float, clamped: bool = False) -> None:
+        if self.n == self.cap:
+            cols, self.cols = self.cols, np.empty((4, 2 * self.cap))
+            self.cols[:, : self.n] = cols
+            self.clamped = np.concatenate([self.clamped, np.zeros(self.cap, dtype=bool)])
+            self.ptr = self.cols.ctypes.data
+        self.cols[:, self.n] = t, u, v, I_in
+        self.clamped[self.n] = clamped
+        self.n += 1
+
+    def trace(self, vmin: float, vmax: float) -> Trace:
+        """The rows so far; a clamped row holds (V_reset, V_th), inside the window."""
+        t, U, V, I_in = self.cols[:, : self.n]
+        inside = (vmin <= U) & (U <= vmax) & (vmin <= V) & (V <= vmax)
+        return Trace(t, U, V, I_in, self.clamped[: self.n], ~inside)
 
 
 def integrate(
@@ -170,16 +266,22 @@ def integrate(
     """Integrate the neuron from ``s0`` to ``t_end`` and collect output spike events.
 
     ``s0`` must be free-running (``Phase.OSCILLATE``) at a time in
-    [0, t_end), and ``max_events``, when given, at least 1: the run then
-    ends at the crossing of that event.  The damping reference is the
-    equilibrium with the program's constant input folded in when the
-    program is a single constant segment; transient programs reference the
-    zero-input equilibrium.
+    [0, t_end) with U and V inside the guard window
+    [``v_min_guard``, ``v_max_guard``], and ``max_events``, when given, at
+    least 1: the run then ends at the crossing of that event.  The damping
+    reference is the equilibrium with the program's constant input folded in
+    when the program is a single constant segment; transient programs
+    reference the zero-input equilibrium.
     """
+    vmin, vmax = p.v_min_guard, p.v_max_guard
     if s0.phase is not Phase.OSCILLATE:
         raise ValueError("integrate() needs a free-running start state, not a clamped one")
     if not 0.0 <= s0.t < cfg.t_end:
         raise ValueError(f"start time {s0.t!r} outside [0, t_end={cfg.t_end!r})")
+    if not (vmin <= s0.U <= vmax and vmin <= s0.V <= vmax):
+        raise ValueError(
+            f"start state U={s0.U!r}, V={s0.V!r} outside the guard window [{vmin!r}, {vmax!r}]"
+        )
     if max_events is not None and max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events!r}")
     if protocol is None:
@@ -216,24 +318,30 @@ def integrate(
 
     fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
     V_reset, V_th = p.V_reset, p.V_th
-    vmin, vmax = p.v_min_guard, p.v_max_guard
     tol = cfg.crossing_tol
 
-    def out_of_range(x: float, y: float) -> bool:
-        return not (vmin <= x <= vmax and vmin <= y <= vmax)
-
     def drive(x: float):
-        """Bounds of the constant-drive segment at ``x``, its input current and RK4 step."""
+        """Bounds of the constant-drive segment at ``x``, its input current and kernel constants."""
         seg = prog.segment_at(x)
         i_in = synapse_current(seg.V_exc, seg.V_inh, p)
-        return seg.t_start, seg.t_end, i_in, _make_step(p, ref, i_in)
+        return seg.t_start, seg.t_end, i_in, _span_params(p, ref, i_in)
 
     t, u, v = s0.t, s0.U, s0.V
-    seg_lo, seg_hi, I_in, f = drive(t)
-    rows = [(t, u, v, I_in, False, out_of_range(u, v))]
+    seg_lo, seg_hi, I_in, prm = drive(t)
+    rows = _Rows(last // stride + 2)  # every row of a run from t = 0 without events
+    rows.add(t, u, v, I_in)
     k, e = after(t)
+    tuv, kn = _TUV(), _KN()
 
     while k <= last:
+        # the quiet stops run in C, up to the first stop that needs the code below
+        tuv[:], kn[:] = (t, u, v), (k, rows.n)
+        _lib.rf_run(prm, tuv, kn, last, stride, dt, t_end, extras[e], seg_lo, seg_hi,
+                    V_th, I_in, rows.ptr, rows.cap)
+        (t, u, v), (k, rows.n) = tuv, kn
+        if k > last:
+            break
+
         t_next = k * dt if k < last else t_end  # stop(k), inlined
         if extras[e] < t_next:
             t_next, sample = extras[e], False
@@ -244,26 +352,26 @@ def integrate(
         h = t_next - t
         mid = t + 0.5 * h
         if not (seg_lo <= mid < seg_hi):
-            seg_lo, seg_hi, I_in, f = drive(mid)
+            seg_lo, seg_hi, I_in, prm = drive(mid)
 
-        u_new, v_new = f(u, v, h)
+        u_new, v_new = _step(prm, u, v, h)
         if not v < V_th <= v_new:
             t, u, v = t_next, u_new, v_new
             if sample:
-                rows.append((t, u, v, I_in, False, out_of_range(u, v)))
+                rows.add(t, u, v, I_in)
             continue
 
         lo, hi = t, t_next
         while hi - lo > tol:
             m = 0.5 * (lo + hi)
-            _, v_m = f(u, v, m - t)
+            _, v_m = _step(prm, u, v, m - t)
             if v_m >= V_th:
                 hi = m
             else:
                 lo = m
-        u_c, v_c = f(u, v, hi - t)
+        u_c, v_c = _step(prm, u, v, hi - t)
         clamped, event = fsm.on_threshold(hi, NeuronState(t=hi, U=u_c, V=v_c))
-        rows.append((hi, clamped.U, clamped.V, 0.0, True, False))
+        rows.add(hi, clamped.U, clamped.V, 0.0, clamped=True)
         if max_events is not None and len(fsm.events) >= max_events:
             break
         k, e = after(hi)
@@ -274,16 +382,15 @@ def integrate(
         hold_end = min(t_rel, t_end) * (1.0 - _GRID_SNAP)
         while k < last and k * dt < hold_end:
             if k % stride == 0:
-                rows.append((k * dt, V_reset, V_th, 0.0, True, False))
+                rows.add(k * dt, V_reset, V_th, 0.0, clamped=True)
             k += 1
         if t_rel >= t_end:
-            rows.append((t_end, V_reset, V_th, 0.0, True, False))
+            rows.add(t_end, V_reset, V_th, 0.0, clamped=True)
             break
         released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
         t, u, v = released.t, released.U, released.V
-        seg_lo, seg_hi, I_in, f = drive(t)
-        rows.append((t, u, v, I_in, False, out_of_range(u, v)))
+        seg_lo, seg_hi, I_in, prm = drive(t)
+        rows.add(t, u, v, I_in)
         k, e = after(t)
 
-    # rows are (t, U, V, I_in, clamped, overflow); bool columns stay bool
-    return Trace(*map(np.asarray, zip(*rows))), fsm.events
+    return rows.trace(vmin, vmax), fsm.events

@@ -1,8 +1,20 @@
 import dataclasses
+import subprocess
 
 import pytest
 
 from rfneuron import CircuitParams
+from rfneuron.integrator import _lib
+
+
+def pytest_report_header(config):
+    """Name the compiled RK4 kernel that ran and the gcc that built it."""
+    try:
+        gcc = subprocess.run(["gcc", "--version"], capture_output=True, text=True,
+                             check=True).stdout.splitlines()[0]
+    except (OSError, subprocess.SubprocessError, IndexError) as exc:
+        gcc = f"unavailable ({exc})"
+    return [f"rfneuron RK4 kernel: {_lib._name}", f"gcc: {gcc}"]
 
 
 @pytest.fixture(scope="session")

@@ -441,6 +441,7 @@ _neuron_sections = st.lists(
 @given(_neuron_sections)
 @example({"I_IV": 4.0e-14})  # no equilibrium: derive_params rejects it
 @example({"U_T": 4.0e-4, "C1": 1.2e-11, "C2": 1.2e-11})  # the synapse exponential overflows
+@example({"U_T": 0.2585})  # the equilibrium U* = 7.2 V lies outside the guard window
 @settings(max_examples=30, deadline=None)
 def test_any_neuron_section_ends_in_a_documented_exit_code(neuron):
     """A short ringdown on any neuron section exits 0-3 with at most one stderr line."""

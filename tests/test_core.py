@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rfneuron import (
     CircuitParams,
+    ConfigError,
     DerivedParams,
     LinearizedRFState,
     NeuronState,
@@ -86,6 +87,15 @@ class TestDeriveParams:
             derive_params(params(I_IV=40e-15))
         with pytest.raises(ValueError):
             derive_params(params(), I_in=-150e-12)
+
+    @pytest.mark.parametrize("fields, I_in", [
+        ({"U_T": 0.2585}, 0.0),                     # U* = 7.2 V
+        ({"V_DD": 0.9, "I_IV": 3e-8}, 0.0),         # U* = 1.20 V, above 1.1 V
+        ({}, 1e-4),                                 # V* = 1.93 V with the input folded in
+    ])
+    def test_equilibrium_outside_the_guard_window_rejected(self, fields, I_in):
+        with pytest.raises(ConfigError, match="guard window"):
+            derive_params(params(**fields), I_in=I_in)
 
     def test_frequency_proportional_to_bias(self):
         p1 = params()

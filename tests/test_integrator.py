@@ -1,7 +1,11 @@
-"""RK4 stepping, the derivative kernel, event refinement, trace bookkeeping."""
+"""RK4 stepping, the C kernel and its loader, event refinement, trace bookkeeping."""
 
 import dataclasses
 import math
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from rfneuron import (
 from rfneuron.cli import main
 from rfneuron.config import load_config
 from rfneuron.experiments import ringdown_metrics, run_ringdown
-from rfneuron.integrator import _make_step
+from rfneuron.integrator import _KERNEL_SOURCE, _load_kernel, _span_params, _step
 from rfneuron.stimuli import Polarity
 
 
@@ -33,6 +37,12 @@ def equilibrium_state(p: CircuitParams) -> NeuronState:
 
 def zero_program():
     return step(0.0, 0.0, 0.0, Polarity.EXC)
+
+
+def kernel_step(p, ref, I_in):
+    """The C kernel's one-step entry as ``step(u, v, h) -> (u, v)``."""
+    prm = _span_params(p, ref, I_in)
+    return lambda u, v, h: _step(prm, u, v, h)
 
 
 def rk4_from_rhs(p, ref, I_in, U, V, h):
@@ -75,14 +85,16 @@ class TestStepRK4:
 
     def test_zero_rhs_leaves_state_unchanged(self):
         p = saturated(CircuitParams(), balanced=True)
-        step_fn = _make_step(p, derive_params(p), 0.0)
+        # undamped, so the reference is immaterial; p's own equilibrium sits
+        # on the window's edge, where derive_params may round it outside
+        step_fn = kernel_step(p, derive_params(CircuitParams()), 0.0)
         assert step_fn(self.ABOVE, self.ABOVE, self.H) == (self.ABOVE, self.ABOVE)
 
     def test_constant_rhs_is_exact(self):
         p = saturated(CircuitParams(), balanced=False)
         ref = derive_params(p)
         du, dv = rhs(NeuronState(t=0.0, U=self.ABOVE, V=self.ABOVE), p, 0.0, ref)
-        u, v = _make_step(p, ref, 0.0)(self.ABOVE, self.ABOVE, self.H)
+        u, v = kernel_step(p, ref, 0.0)(self.ABOVE, self.ABOVE, self.H)
         assert u - self.ABOVE == pytest.approx(self.H * du, rel=1e-12)
         assert v - self.ABOVE == pytest.approx(self.H * dv, rel=1e-12)
         assert min(u, v) > p.v_max_guard  # the derivative really stayed constant
@@ -93,7 +105,7 @@ class TestStepRK4:
         p = dataclasses.replace(CircuitParams(), g_damp=0.0, I_n0_beta=None)
         dp = derive_params(p)
         period = 1.0 / dp.f_res
-        step_fn = _make_step(p, dp, 0.0)
+        step_fn = kernel_step(p, dp, 0.0)
 
         def final_state(n):
             u, v, h = dp.U_star - 0.08, dp.V_star, period / n
@@ -125,7 +137,7 @@ class TestDerivative:
         p = CircuitParams()
         ref = derive_params(p, I_in=2e-11)
         expected, _ = rk4_from_rhs(p, ref, self.I_IN, U, V, self.H)
-        got = _make_step(p, ref, self.I_IN)(U, V, self.H)
+        got = kernel_step(p, ref, self.I_IN)(U, V, self.H)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_later_stage_exit_starts_inside_and_leaves(self):
@@ -138,6 +150,54 @@ class TestDerivative:
 
         assert all(map(inside, stages[0]))
         assert not all(inside(x) for stage in stages[1:] for x in stage)
+
+
+class TestKernelLoader:
+    @pytest.fixture
+    def source(self, tmp_path, monkeypatch):
+        """A copy of the kernel source in an empty package directory, and an empty temp dir."""
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        (tmp_path / "pkg").mkdir()
+        return Path(shutil.copy(_KERNEL_SOURCE, tmp_path / "pkg"))
+
+    def test_missing_gcc_is_one_import_error(self, source, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+        with pytest.raises(ImportError, match="gcc") as info:
+            _load_kernel(source)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+        assert not list(tmp_path.rglob("*.so")) and not list(tmp_path.rglob("*.tmp"))
+
+    def test_build_lands_in_the_package_cache_and_leaves_no_temporary_file(self, source,
+                                                                           tmp_path):
+        lib = _load_kernel(source)
+        builds = list(tmp_path.rglob("*.so"))
+        assert [b.parent for b in builds] == [source.parent / "__pycache__"]
+        assert lib._name == str(builds[0])
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_read_only_package_directory_falls_back_to_the_temp_dir(self, source, tmp_path):
+        # a file in the cache directory's place, since root ignores mode bits
+        (source.parent / "__pycache__").write_text("")
+        source.parent.chmod(0o555)
+        try:
+            lib = _load_kernel(source)
+        finally:
+            source.parent.chmod(0o755)
+        builds = list(tmp_path.rglob("*.so"))
+        assert [b.parent.parent for b in builds] == [tmp_path / "tmp"]
+        assert lib._name == str(builds[0])
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_warm_cache_starts_no_compiler(self, source, monkeypatch):
+        first = _load_kernel(source)
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"compiler started: {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert _load_kernel(source)._name == first._name
 
 
 class TestRefineCrossing:
@@ -260,6 +320,20 @@ class TestIntegrate:
         assert np.all(trace.U[held] == p.V_reset)
         assert np.all(trace.I_in[held] == 0.0)
 
+    def test_event_rows_outgrow_the_grid_sized_buffer(self):
+        # with no grid sample but the start and t_end, every crossing and
+        # release row lands beyond the initial buffer and must survive its growth
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        cfg = IntegratorConfig(dt=1e-6, t_end=0.05, sample_stride=10**9)
+        trace, events = integrate(equilibrium_state(p), p, prog, cfg)
+        assert len(events) > 5 and events[-1].t_release < cfg.t_end
+        edges = [t for e in events for t in (e.t_req, e.t_release)]
+        assert trace.t.tolist() == [0.0, *edges, cfg.t_end]
+        assert trace.clamped.tolist() == [False, *[True, False] * len(events), False]
+        assert np.all(trace.U[trace.clamped] == p.V_reset)
+        assert np.all(trace.I_in[~trace.clamped] > 0.0)
+
     @pytest.mark.parametrize("offset", [1e-15, -1e-15])
     def test_edges_within_snap_of_the_grid_act_on_the_grid(self, offset):
         # pulse edges closer than dt * 1e-9 to a grid point add no stop
@@ -286,16 +360,24 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("U, V", [(-0.5, None), (None, 1.9)])
     def test_start_outside_the_guard_window(self, U, V):
-        # the exponentials saturate instead of overflowing; every sample
-        # outside [v_min_guard, v_max_guard] and only those carry the flag
         p = CircuitParams()
         dp = derive_params(p)
         s0 = NeuronState(t=0.0, U=dp.U_star if U is None else U, V=dp.V_star if V is None else V)
+        with pytest.raises(ValueError, match="guard window"):
+            integrate(s0, p, zero_program(), IntegratorConfig(t_end=0.06))
+
+    @pytest.mark.parametrize("U, V", [LATER_STAGE_EXIT, (0.3, -0.19)])  # U, then V leaves
+    def test_overflow_flags_the_samples_outside_the_guard_window(self, U, V):
+        # a start inside the window that leaves it mid-run: the exponentials
+        # saturate instead of overflowing, and every sample outside
+        # [v_min_guard, v_max_guard] and only those carry the flag
+        p = CircuitParams()
+        s0 = NeuronState(t=0.0, U=U, V=V)
         trace, _ = integrate(s0, p, zero_program(), IntegratorConfig(t_end=0.06))
         assert np.all(np.isfinite(trace.U)) and np.all(np.isfinite(trace.V))
         lo, hi = p.v_min_guard, p.v_max_guard
         outside = ~((lo <= trace.U) & (trace.U <= hi) & (lo <= trace.V) & (trace.V <= hi))
-        assert outside[0]
+        assert not outside[0] and outside[1:].any()
         assert np.array_equal(trace.overflow, outside)
         assert "overflow" in ringdown_metrics(trace, 0.0, 0.01).flags
 
