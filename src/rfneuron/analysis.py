@@ -19,7 +19,15 @@ runs from the peak to the nearest strictly higher sample on that side, or to
 the end of the array.  Peaks less prominent than ``PEAK_MIN_PROMINENCE`` are
 dropped.  These are the usual signal-processing definitions (a
 ``find_peaks`` with a prominence threshold), and the tests hold the search
-to such a reference implementation index for index.
+to such a reference implementation index for index.  A peak needs a rise
+before it and a fall after it, so it is never the first or last sample, and
+its time and value are refined by a parabola through it and both neighbours,
+for all peaks at once.
+
+The frequency and Q estimates read the same peaks of the unclamped V
+samples.  Each public extractor searches its trace itself;
+``experiments.ringdown_metrics`` reads both from ``_v_metrics``, which
+searches V once and hands the peaks to both.
 """
 
 from __future__ import annotations
@@ -164,37 +172,32 @@ def _lowest_back_to_higher(heights: list[float], gaps: list[float]) -> list[floa
 
 
 def _channel_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prominence-filtered local maxima; times refined by parabolic fit.
+    """Prominence-filtered local maxima; times and values refined by parabolic fit.
 
-    A non-finite sample makes the peaks undefined and raises
-    :class:`UndefinedMetricError`.
+    Every peak is interior, so each has both neighbours, and the fit runs on
+    all of them at once.  A non-finite sample makes the peaks undefined and
+    raises :class:`UndefinedMetricError`.
     """
     if not np.all(np.isfinite(x)):
         raise UndefinedMetricError("non-finite sample in the peak search")
-    idx = _find_peaks(x, PEAK_MIN_PROMINENCE)
-    if len(idx) == 0:
-        return np.empty(0), np.empty(0)
-    times, values = [], []
-    for i in idx:
-        if 0 < i < len(x) - 1:
-            y0, y1, y2 = x[i - 1], x[i], x[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            delta = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-            delta = min(max(delta, -0.5), 0.5)
-            dt_l = t[i] - t[i - 1]
-            dt_r = t[i + 1] - t[i]
-            ts = t[i] + delta * (dt_r if delta >= 0 else dt_l)
-            vs = y1 - 0.25 * (y0 - y2) * delta
-            # a parabola only applies to locally smooth maxima; at a kink the
-            # vertex estimate can overshoot, so cap it by the shallower side
-            cap = 0.5 * min(y1 - y0, y1 - y2)
-            if vs - y1 > max(cap, 0.0):
-                vs = y1 + max(cap, 0.0)
-        else:
-            ts, vs = t[i], x[i]
-        times.append(float(ts))
-        values.append(float(vs))
-    return np.asarray(times), np.asarray(values)
+    # near the ends of the float range differences overflow to inf and the
+    # fit to nan, and a zero denominator is replaced below; none is an error
+    with np.errstate(all="ignore"):
+        i = _find_peaks(x, PEAK_MIN_PROMINENCE)
+        y0, y1, y2 = x[i - 1], x[i], x[i + 1]
+        t1 = t[i]
+        denom = y0 - 2.0 * y1 + y2
+        delta = np.clip(np.where(denom == 0.0, 0.0, 0.5 * (y0 - y2) / denom), -0.5, 0.5)
+        times = t1 + delta * np.where(delta >= 0, t[i + 1] - t1, t1 - t[i - 1])
+        values = y1 - 0.25 * (y0 - y2) * delta
+        # a parabola only applies to locally smooth maxima; at a kink the
+        # vertex estimate can overshoot, so cap it by the shallower side.  A
+        # negative zero cap stays negative (np.maximum would return +0.0), so
+        # a -0.0 peak keeps its sign
+        cap = 0.5 * np.minimum(y1 - y0, y1 - y2)
+        cap = np.where(cap < 0.0, 0.0, cap)
+        values = np.where(values - y1 > cap, y1 + cap, values)
+    return times, values
 
 
 def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
@@ -238,11 +241,23 @@ def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
     return (k + delta) / (n * dt)
 
 
+def _free_v(tr: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Times and V of the unclamped samples, the channel of both V metrics."""
+    sel = ~tr.clamped
+    return tr.t[sel], tr.V[sel]
+
+
 def resonant_frequency_estimates(tr: Trace) -> tuple[float, float]:
     """(median inter-peak estimate, spectral estimate) of the V oscillation."""
-    sel = ~tr.clamped
-    t, v = tr.t[sel], tr.V[sel]
-    times, _ = _channel_peaks(t, v)
+    t, v = _free_v(tr)
+    return _frequency_estimates(t, v, _channel_peaks(t, v))
+
+
+def _frequency_estimates(
+    t: np.ndarray, v: np.ndarray, peaks: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float]:
+    """:func:`resonant_frequency_estimates` of the V samples ``t, v`` with peaks ``peaks``."""
+    times, _ = peaks
     if len(times) < 3:
         raise UndefinedMetricError("fewer than 3 oscillation peaks detected")
     intervals = np.diff(times)
@@ -268,9 +283,13 @@ def q_factor(tr: Trace) -> float:
     trace with fewer than 5 usable peaks raises
     :class:`UndefinedMetricError`.
     """
-    sel = ~tr.clamped
-    t, v = tr.t[sel], tr.V[sel]
-    peak_t, peak_v = _channel_peaks(t, v)
+    t, v = _free_v(tr)
+    return _q_factor(t, v, _channel_peaks(t, v))
+
+
+def _q_factor(t: np.ndarray, v: np.ndarray, peaks: tuple[np.ndarray, np.ndarray]) -> float:
+    """:func:`q_factor` of the V samples ``t, v`` with peaks ``peaks``."""
+    peak_t, peak_v = peaks
     trough_t, trough_v = _channel_peaks(t, -v)
     trough_v = -trough_v
     if len(peak_t) < 5 or len(trough_t) < 2:
@@ -296,6 +315,28 @@ def q_factor(tr: Trace) -> float:
         return math.inf
     tau = -1.0 / slope
     return math.pi * f_res * tau
+
+
+def _v_metrics(
+    tr: Trace,
+) -> tuple[tuple[float, float] | UndefinedMetricError, float | UndefinedMetricError]:
+    """(:func:`resonant_frequency_estimates`, :func:`q_factor`) from one search of the V peaks.
+
+    A metric that is undefined comes back as its :class:`UndefinedMetricError`
+    instead of raising, so one undefined metric does not hide the other.
+    """
+    t, v = _free_v(tr)
+    try:
+        peaks = _channel_peaks(t, v)
+    except UndefinedMetricError as err:
+        return err, err
+    results: list = []
+    for metric in (_frequency_estimates, _q_factor):
+        try:
+            results.append(metric(t, v, peaks))
+        except UndefinedMetricError as err:
+            results.append(err)
+    return results[0], results[1]
 
 
 def fi_curve(

@@ -18,9 +18,8 @@ from .analysis import (
     MetricsRecord,
     extract_baseline,
     extract_first_peak,
-    q_factor,
-    resonant_frequency_estimates,
     FREQ_CONSISTENCY_TOL,
+    _v_metrics,
 )
 from .core import CircuitParams, NeuronState, Phase, derive_params
 from .errors import ConfigError, UndefinedMetricError, require_finite
@@ -220,21 +219,21 @@ def ringdown_metrics(
         first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
     except UndefinedMetricError:
         flags.append("no-peak")
-    f_res = math.nan
-    try:
-        f_peaks, f_fft = resonant_frequency_estimates(tr)
+    f_res = q = math.nan
+    freq, q_or_err = _v_metrics(tr)
+    if isinstance(freq, UndefinedMetricError):
+        flags.append("f-res-undefined")
+    else:
+        f_peaks, f_fft = freq
         f_res = f_peaks
         if abs(f_peaks - f_fft) > FREQ_CONSISTENCY_TOL * f_peaks:
             flags.append("freq-estimators-disagree")
-    except UndefinedMetricError:
-        flags.append("f-res-undefined")
-    q = math.nan
-    try:
-        q = q_factor(tr)
+    if isinstance(q_or_err, UndefinedMetricError):
+        flags.append("q-undefined")
+    else:
+        q = q_or_err
         if math.isinf(q):
             flags.append("infinite-q")
-    except UndefinedMetricError:
-        flags.append("q-undefined")
     if tr.any_overflow:
         flags.append("overflow")
     return MetricsRecord(

@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfneuron import (
@@ -26,14 +27,16 @@ from rfneuron import (
     tuning_map,
 )
 from rfneuron.analysis import (
+    FREQ_CONSISTENCY_TOL,
     PEAK_MIN_PROMINENCE,
+    MetricsRecord,
     TuningMap,
     _channel_peaks,
     _find_peaks,
     resonant_frequency_estimates,
 )
 from rfneuron.cli import write_csv, write_json
-from rfneuron.experiments import ringdown_metrics, run_chirp, run_ringdown
+from rfneuron.experiments import RingdownSetup, ringdown_metrics, run_chirp, run_ringdown
 from rfneuron.stimuli import Polarity
 
 
@@ -188,6 +191,105 @@ class TestFindPeaks:
         assert math.isnan(m.first_peak_V) and math.isnan(m.f_res) and math.isnan(m.q_factor)
 
 
+def reference_channel_peaks(t, x):
+    """The per-peak scalar refinement that ``_channel_peaks`` runs array-wise, as its oracle.
+
+    numpy scalars warn where Python floats overflow silently, so the loop
+    runs with numpy's floating-point warnings off.
+    """
+    with np.errstate(all="ignore"):
+        idx = _find_peaks(x, PEAK_MIN_PROMINENCE)
+        times, values = [], []
+        for i in idx:
+            if 0 < i < len(x) - 1:
+                y0, y1, y2 = x[i - 1], x[i], x[i + 1]
+                denom = y0 - 2.0 * y1 + y2
+                delta = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+                delta = min(max(delta, -0.5), 0.5)
+                dt_l = t[i] - t[i - 1]
+                dt_r = t[i + 1] - t[i]
+                ts = t[i] + delta * (dt_r if delta >= 0 else dt_l)
+                vs = y1 - 0.25 * (y0 - y2) * delta
+                cap = 0.5 * min(y1 - y0, y1 - y2)
+                if vs - y1 > max(cap, 0.0):
+                    vs = y1 + max(cap, 0.0)
+            else:
+                ts, vs = t[i], x[i]
+            times.append(float(ts))
+            values.append(float(vs))
+    return np.asarray(times), np.asarray(values)
+
+
+def assert_same_floats(a, b):
+    """Equal arrays of float64, bit for bit (the sign of a zero included), NaN where NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+_HUGE = 1.7e308
+# magnitudes near the top of the float range overflow the fit to inf and nan
+_huge = st.lists(st.sampled_from([-_HUGE, -1e308, 0.0, 1e308, _HUGE]), max_size=30).map(
+    lambda xs: np.asarray(xs, dtype=float))
+_finite = st.lists(st.floats(-_HUGE, _HUGE), max_size=30).map(
+    lambda xs: np.asarray(xs, dtype=float))
+# signed zeros beside a peak give a zero cap whose sign reaches the value
+_zeros = st.lists(st.sampled_from([-0.0, 0.0, -2.0 * PEAK_MIN_PROMINENCE]), max_size=30).map(
+    lambda xs: np.asarray(xs, dtype=float))
+
+
+@st.composite
+def _channels(draw):
+    """A sampled channel: values of every kind above on unevenly spaced times."""
+    x = draw(st.one_of(_stepped, _smooth, _huge, _finite, _zeros))
+    gaps = draw(st.lists(st.floats(1e-6, 1e-3), min_size=len(x), max_size=len(x)))
+    return np.cumsum(gaps), x
+
+
+FLAT_TOP = np.array([0.0, 1.0, 1.0, 1.0, 0.0]) * PEAK_MIN_PROMINENCE        # denominator 0
+KINK = np.array([0.0, 0.1, 2.0, 1.9, 1.8, 0.0]) * PEAK_MIN_PROMINENCE       # the cap fires
+NEGATIVE_ZERO_TOP = np.array([-2.0 * PEAK_MIN_PROMINENCE, -0.0, 0.0, -2.0 * PEAK_MIN_PROMINENCE])
+
+
+class TestChannelPeaks:
+    @settings(max_examples=500, deadline=None)
+    @given(channel=_channels())
+    @example(channel=(np.arange(5.0), FLAT_TOP))
+    @example(channel=(np.arange(6.0), KINK))
+    @example(channel=(np.arange(4.0), NEGATIVE_ZERO_TOP))
+    @example(channel=(np.arange(3.0), np.array([-_HUGE, _HUGE, -_HUGE])))
+    @example(channel=(np.arange(3.0), np.array([1e308, _HUGE, -_HUGE])))
+    def test_matches_the_scalar_refinement(self, channel):
+        t, x = channel
+        with np.errstate(all="ignore"):
+            idx = _find_peaks(x, PEAK_MIN_PROMINENCE)
+        # every peak has both neighbours, so the fit needs no edge case
+        assert np.all((0 < idx) & (idx < len(x) - 1))
+        expected = reference_channel_peaks(t, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, values = _channel_peaks(t, x)
+        assert_same_floats(times, expected[0])
+        assert_same_floats(values, expected[1])
+
+    def test_flat_top_keeps_the_middle_sample(self):
+        t = np.arange(5.0)
+        assert_same_floats(_channel_peaks(t, FLAT_TOP), ([2.0], [PEAK_MIN_PROMINENCE]))
+
+    def test_kink_caps_the_vertex_by_the_shallower_side(self):
+        t = np.arange(6.0)
+        _, y1, y2 = KINK[1:4]
+        times, values = _channel_peaks(t, KINK)
+        assert values[0] == y1 + 0.5 * (y1 - y2)
+        assert 2.0 < times[0] <= 2.5  # the vertex leans to the higher neighbour
+
+    def test_zero_cap_keeps_the_sign_of_a_negative_zero_peak(self):
+        _, values = _channel_peaks(np.arange(4.0), NEGATIVE_ZERO_TOP)
+        assert values[0] == 0.0 and np.signbit(values[0])
+
+
 class TestResonantFrequency:
     def test_170hz_oracle(self):
         tr = synthetic_ringdown(f=170.0, q=129.0)
@@ -269,6 +371,69 @@ class TestQFactor:
         tr = synthetic_ringdown(f=170.0, q=129.0, duration=2.5 / 170.0)
         with pytest.raises(UndefinedMetricError):
             q_factor(tr)
+
+
+def metrics_one_by_one(tr, t_stim_end, settle_window):
+    """The ``ringdown_metrics`` record built from the public extractors, each searching alone."""
+    flags = []
+    baseline_U = baseline_V = first_peak_U = first_peak_V = f_res = q = math.nan
+    try:
+        baseline_U, baseline_V = extract_baseline(tr, settle_window)
+    except ValueError:
+        flags.append("baseline-undefined")
+    try:
+        first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
+    except UndefinedMetricError:
+        flags.append("no-peak")
+    try:
+        f_res, f_fft = resonant_frequency_estimates(tr)
+        if abs(f_res - f_fft) > FREQ_CONSISTENCY_TOL * f_res:
+            flags.append("freq-estimators-disagree")
+    except UndefinedMetricError:
+        flags.append("f-res-undefined")
+    try:
+        q = q_factor(tr)
+        if math.isinf(q):
+            flags.append("infinite-q")
+    except UndefinedMetricError:
+        flags.append("q-undefined")
+    if tr.any_overflow:
+        flags.append("overflow")
+    return MetricsRecord(baseline_U, baseline_V, first_peak_U, first_peak_V, f_res, q,
+                         tuple(flags))
+
+
+def _non_finite_v():
+    tr = synthetic_ringdown()
+    tr.V[len(tr) // 2] = math.nan
+    return tr
+
+
+def _spiking_ringdown():
+    # a lowered threshold makes the ringdown fire, leaving clamped samples
+    p = dataclasses.replace(CircuitParams(), V_th=0.80)
+    tr, events, _ = run_ringdown(p)
+    assert events and np.any(tr.clamped)
+    return tr
+
+
+class TestSharedVSearch:
+    @pytest.mark.parametrize("make, t_stim_end, flag", [
+        (lambda: synthetic_ringdown(amp=0.0), 2e-3, "no-peak"),
+        (lambda: synthetic_ringdown(duration=2.5 / 170.0), 2e-3, "q-undefined"),
+        (TestFrequencyCrossCheck.burst_in_weak_ring, 0.0, "freq-estimators-disagree"),
+        (lambda: synthetic_ringdown(q=1e9, duration=0.1), 2e-3, "infinite-q"),
+        (_non_finite_v, 2e-3, "f-res-undefined"),
+        (_spiking_ringdown, RingdownSetup().t0 + RingdownSetup().width, "baseline-undefined"),
+    ], ids=["no-peak", "fewer-than-5-peaks", "disagreeing-estimators", "undamped",
+            "non-finite-V", "clamped"])
+    def test_record_equals_the_extractors_called_one_by_one(self, make, t_stim_end, flag):
+        tr = make()
+        settle_window = tr.t[-1] / 5
+        m = ringdown_metrics(tr, t_stim_end, settle_window)
+        assert flag in m.flags
+        # repr tells a numpy scalar from a float and -0.0 from 0.0
+        assert repr(m) == repr(metrics_one_by_one(tr, t_stim_end, settle_window))
 
 
 class TestFICurve:
