@@ -1,5 +1,6 @@
-/* The integrator's hot kernel: one classical RK4 step of the resonator and a
- * runner that takes quiet grid steps until the first stop that needs Python.
+/* The integrator's hot kernel: classical RK4 steps of the resonator, and the
+ * runner that takes every stop of a free-running span and resolves its
+ * threshold crossing.
  *
  * The arithmetic is core.rhs's, in the same operation order, up to
  * `* (1/C)` in place of `/ C`, so a step equals the Python expression
@@ -15,8 +16,8 @@
 #include <math.h>
 #include <stdint.h>
 
-/* Constants of one constant-drive span; the order of integrator._span_params. */
-enum { A, IN0A, IN0B, I_U, I_IV, G, INV_C1, INV_C2, UREF, VREF, VMIN, VMAX };
+/* Constants of one constant-drive segment; the order of integrator._span_params. */
+enum { A, IN0A, IN0B, I_U, I_IV, G, INV_C1, INV_C2, UREF, VREF, VMIN, VMAX, NPRM };
 
 static inline double guard(const double *p, double x)
 {
@@ -42,42 +43,60 @@ static inline void rk4(const double *p, double h, double *u, double *v)
     *v = *v + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0;
 }
 
-/* One RK4 step of length h from uv = {u, v}, in place. */
-void rf_step(const double *p, double *uv, double h)
-{
-    rk4(p, h, &uv[0], &uv[1]);
-}
-
-/* Take grid stops k, k+1, ... from tuv = {t, u, v}, with kn = {k, n}.
+/* Take the stops after tuv = {t, u, v}, with ks = {k, e, n, s}, up to the
+ * first threshold crossing or to t_end.
  *
- * Stop k is k*dt, and stop `last` is t_end.  Every stop k with k % stride == 0,
- * and stop `last`, is written as row n of the column-major buffer `rows`
- * (columns t, U, V, I_in, each `cap` long).  The runner returns, with tuv and
- * kn at the last stop taken, before the first stop that it must not take:
- * one past `last`, one later than `extra`, one whose sample finds the buffer
- * full, one whose step midpoint leaves [seg_lo, seg_hi), or one whose step
- * carries V across v_th from below.
+ * Grid stop k is k*dt and stop `last` is t_end; the next stop is grid stop k,
+ * or the off-grid stop extras[e] when that is earlier (extras ends in inf).
+ * A step uses segment s, advanced while the step midpoint is at or past
+ * seg_end[s]; segment s has the kernel constants prm[12 s ...] and the input
+ * current i_in[s].  Every grid stop k with k % stride == 0, and stop `last`,
+ * is written as row n of the column-major buffer `rows` (columns t, U, V,
+ * I_in, each `cap` long), which the caller sizes for every row left.
+ *
+ * A step that carries V across v_th from below is bisected on re-integrated
+ * partial steps until the bracket is at most tol wide; the runner then
+ * returns 1 with tuv at its upper end.  At t_end it returns 0.
  */
-void rf_run(const double *p, double *tuv, int64_t *kn, int64_t last, int64_t stride,
-            double dt, double t_end, double extra, double seg_lo, double seg_hi,
-            double v_th, double i_in, double *rows, int64_t cap)
+int rf_run(const double *prm, const double *seg_end, const double *i_in, const double *extras,
+           double *tuv, int64_t *ks, int64_t last, int64_t stride, double dt, double t_end,
+           double v_th, double tol, double *rows, int64_t cap)
 {
     double t = tuv[0], u = tuv[1], v = tuv[2];
-    int64_t k = kn[0], n = kn[1];
+    int64_t k = ks[0], e = ks[1], n = ks[2], s = ks[3];
+    int crossed = 0;
 
-    for (; k <= last; k++) {
+    while (k <= last) {
         double t_next = k < last ? (double)k * dt : t_end;
-        int sample = k % stride == 0 || k == last;
-        if (extra < t_next || (sample && n == cap))
-            break;
+        int sample = 0;
+        if (extras[e] < t_next) {
+            t_next = extras[e++];
+        } else {
+            sample = k % stride == 0 || k == last;
+            k++;
+        }
         double h = t_next - t;
         double mid = t + 0.5 * h;
-        if (!(seg_lo <= mid && mid < seg_hi))
-            break;
+        while (mid >= seg_end[s])
+            s++;
+        const double *p = prm + NPRM * s;
         double u_new = u, v_new = v;
         rk4(p, h, &u_new, &v_new);
-        if (v < v_th && v_th <= v_new)
+        if (v < v_th && v_th <= v_new) {
+            double lo = t, hi = t_next;
+            while (hi - lo > tol) {
+                double m = 0.5 * (lo + hi), um = u, vm = v;
+                rk4(p, m - t, &um, &vm);
+                if (vm >= v_th)
+                    hi = m;
+                else
+                    lo = m;
+            }
+            rk4(p, hi - t, &u, &v);
+            t = hi;
+            crossed = 1;
             break;
+        }
         t = t_next;
         u = u_new;
         v = v_new;
@@ -85,13 +104,16 @@ void rf_run(const double *p, double *tuv, int64_t *kn, int64_t last, int64_t str
             rows[n] = t;
             rows[cap + n] = u;
             rows[2 * cap + n] = v;
-            rows[3 * cap + n] = i_in;
+            rows[3 * cap + n] = i_in[s];
             n++;
         }
     }
     tuv[0] = t;
     tuv[1] = u;
     tuv[2] = v;
-    kn[0] = k;
-    kn[1] = n;
+    ks[0] = k;
+    ks[1] = e;
+    ks[2] = n;
+    ks[3] = s;
+    return crossed;
 }

@@ -117,9 +117,9 @@ class ChirpSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        _require_counts(self, 1, "n_freqs", "spikes_per_freq", "n_bias")
+        _require_counts(self, 1, "n_freqs", "spikes_per_freq", "n_bias", "sample_stride")
         _require_positive(self, "f_start", "bias_min", "bias_max", "vth_min", "vth_max",
-                          "vth_anchor_min")
+                          "vth_anchor_min", "dt")
         if not self.vth_anchor_min < self.vth_anchor_max:
             raise ConfigError(
                 f"vth_anchor_min={self.vth_anchor_min!r} must be below "

@@ -2,14 +2,12 @@
 
 The RK4 step is written once, in C (``_rk4.c``), with ``core.rhs``'s
 arithmetic in its operation order; ``core.rhs`` is its readable oracle.  The
-C file holds a one-step entry and a span runner.  The runner takes the quiet
-grid stops of a run: it samples into the trace's column buffers and returns
-at the first stop it must not take, when an extra stop is due, the step
-midpoint leaves the current drive segment, V crosses ``V_th``, the sample
-buffer is full, or the run is over.  ``integrate()`` takes that stop in
-Python and keeps all of the control flow: extra stops, segment switches,
-the crossing bisection (through the one-step entry), the handshake hold and
-``max_events``.
+C file exports one entry, a span runner, which owns the stop schedule of a
+free-running span: it takes every stop, switches the drive segment, samples
+into the trace's column buffers, and bisects the first threshold crossing.
+``integrate()`` keeps what happens between spans: the handshake at each
+crossing, the hold, the release, ``max_events`` and the size of the row
+buffer.
 
 The stops are computed, not stored: grid stop k is ``k * dt``, the last
 stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
@@ -36,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 import tempfile
 import zlib
@@ -65,10 +64,8 @@ _GRID_SNAP = 1e-9
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_PARAMS = ctypes.c_double * 12
-_PAIR = ctypes.c_double * 2
 _TUV = ctypes.c_double * 3
-_KN = ctypes.c_int64 * 2
+_KS = ctypes.c_int64 * 4
 
 
 def _compile(source: Path, out: str) -> None:
@@ -129,14 +126,11 @@ def _load_kernel(source: Path = _KERNEL_SOURCE) -> ctypes.CDLL:
     else:
         raise ImportError(f"no writable cache directory for the RK4 kernel built from {source}")
     lib = ctypes.CDLL(str(so))
-    double_p, int64_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-    lib.rf_step.argtypes = (double_p, double_p, ctypes.c_double)
-    lib.rf_step.restype = None
     lib.rf_run.argtypes = (
-        double_p, double_p, int64_p, ctypes.c_int64, ctypes.c_int64,
-        *[ctypes.c_double] * 7, ctypes.c_void_p, ctypes.c_int64,
+        *[ctypes.c_void_p] * 4, ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
+        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_double] * 4, ctypes.c_void_p, ctypes.c_int64,
     )
-    lib.rf_run.restype = None
+    lib.rf_run.restype = ctypes.c_int
     return lib
 
 
@@ -168,7 +162,7 @@ class IntegratorConfig:
             raise ConfigError(
                 f"crossing_tol must lie in (0, dt={self.dt!r}], got {self.crossing_tol!r}"
             )
-        if self.sample_stride < 1 or self.sample_stride != int(self.sample_stride):
+        if not (isinstance(self.sample_stride, numbers.Integral) and self.sample_stride >= 1):
             raise ConfigError(f"sample_stride must be a positive integer, got {self.sample_stride!r}")
 
     def validate_against(self, f_nominal: float) -> None:
@@ -208,21 +202,14 @@ class Trace:
         return bool(np.any(self.overflow))
 
 
-def _span_params(p: CircuitParams, ref: DerivedParams, I_in: float) -> ctypes.Array:
-    """The kernel's constants for one constant-drive span, in ``_rk4.c``'s order."""
-    return _PARAMS(
+def _span_params(p: CircuitParams, ref: DerivedParams, I_in: float) -> tuple[float, ...]:
+    """The kernel's constants for one constant-drive segment, in ``_rk4.c``'s order."""
+    return (
         p.exp_slope, p.In0_alpha, p.In0_beta,
         I_in + p.I_IU,  # core.rhs adds these two first, so folding them is exact
         p.I_IV, p.g_damp, 1.0 / p.C1, 1.0 / p.C2, ref.U_star, ref.V_star,
         p.v_min_guard, p.v_max_guard,
     )
-
-
-def _step(prm: ctypes.Array, u: float, v: float, h: float) -> tuple[float, float]:
-    """One RK4 step of length ``h`` from (u, v) with the constants ``prm``."""
-    uv = _PAIR(u, v)
-    _lib.rf_step(prm, uv, h)
-    return uv[0], uv[1]
 
 
 class _Rows:
@@ -238,12 +225,17 @@ class _Rows:
     def cap(self) -> int:
         return len(self.clamped)
 
-    def add(self, t: float, u: float, v: float, I_in: float, clamped: bool = False) -> None:
-        if self.n == self.cap:
-            cols, self.cols = self.cols, np.empty((4, 2 * self.cap))
-            self.cols[:, : self.n] = cols
-            self.clamped = np.concatenate([self.clamped, np.zeros(self.cap, dtype=bool)])
+    def reserve(self, m: int) -> None:
+        """Make room for ``m`` more rows, at least doubling the buffer when it grows."""
+        if self.n + m > self.cap:
+            cap = max(self.n + m, 2 * self.cap)
+            cols, self.cols = self.cols, np.empty((4, cap))
+            self.cols[:, : self.n] = cols[:, : self.n]
+            self.clamped = np.concatenate([self.clamped, np.zeros(cap - self.cap, dtype=bool)])
             self.ptr = self.cols.ctypes.data
+
+    def add(self, t: float, u: float, v: float, I_in: float, clamped: bool = False) -> None:
+        self.reserve(1)
         self.cols[:, self.n] = t, u, v, I_in
         self.clamped[self.n] = clamped
         self.n += 1
@@ -316,65 +308,39 @@ def integrate(
         y = x * (1.0 + _GRID_SNAP)
         return bisect_right(grid, y, key=stop) + 1, bisect_right(extras, y)
 
+    # rf_run's tables: kernel constants, end time and input current per segment, extra stops
+    currents = [synapse_current(seg.V_exc, seg.V_inh, p) for seg in prog.segments]
+    tables = (
+        np.array([_span_params(p, ref, c) for c in currents]),
+        np.array([seg.t_end for seg in prog.segments]),
+        np.array(currents),
+        np.array(extras),
+    )
+    table_ptrs = [a.ctypes.data for a in tables]  # `tables` keeps the memory alive
+
     fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
     V_reset, V_th = p.V_reset, p.V_th
-    tol = cfg.crossing_tol
-
-    def drive(x: float):
-        """Bounds of the constant-drive segment at ``x``, its input current and kernel constants."""
-        seg = prog.segment_at(x)
-        i_in = synapse_current(seg.V_exc, seg.V_inh, p)
-        return seg.t_start, seg.t_end, i_in, _span_params(p, ref, i_in)
-
     t, u, v = s0.t, s0.U, s0.V
-    seg_lo, seg_hi, I_in, prm = drive(t)
-    rows = _Rows(last // stride + 2)  # every row of a run from t = 0 without events
-    rows.add(t, u, v, I_in)
+    s = prog.segment_index(t)
+    rows = _Rows(0)
+    rows.add(t, u, v, currents[s])
     k, e = after(t)
-    tuv, kn = _TUV(), _KN()
+    tuv, ks = _TUV(), _KS()
 
-    while k <= last:
-        # the quiet stops run in C, up to the first stop that needs the code below
-        tuv[:], kn[:] = (t, u, v), (k, rows.n)
-        _lib.rf_run(prm, tuv, kn, last, stride, dt, t_end, extras[e], seg_lo, seg_hi,
-                    V_th, I_in, rows.ptr, rows.cap)
-        (t, u, v), (k, rows.n) = tuv, kn
-        if k > last:
+    while True:
+        rows.reserve((last - k) // stride + 2)  # every grid row left, and t_end
+        tuv[:], ks[:] = (t, u, v), (k, e, rows.n, s)
+        crossed = _lib.rf_run(*table_ptrs, tuv, ks, last, stride, dt, t_end, V_th,
+                              cfg.crossing_tol, rows.ptr, rows.cap)
+        (t, u, v), (k, e, rows.n, s) = tuv, ks
+        if not crossed:
             break
 
-        t_next = k * dt if k < last else t_end  # stop(k), inlined
-        if extras[e] < t_next:
-            t_next, sample = extras[e], False
-            e += 1
-        else:
-            sample = k % stride == 0 or k == last
-            k += 1
-        h = t_next - t
-        mid = t + 0.5 * h
-        if not (seg_lo <= mid < seg_hi):
-            seg_lo, seg_hi, I_in, prm = drive(mid)
-
-        u_new, v_new = _step(prm, u, v, h)
-        if not v < V_th <= v_new:
-            t, u, v = t_next, u_new, v_new
-            if sample:
-                rows.add(t, u, v, I_in)
-            continue
-
-        lo, hi = t, t_next
-        while hi - lo > tol:
-            m = 0.5 * (lo + hi)
-            _, v_m = _step(prm, u, v, m - t)
-            if v_m >= V_th:
-                hi = m
-            else:
-                lo = m
-        u_c, v_c = _step(prm, u, v, hi - t)
-        clamped, event = fsm.on_threshold(hi, NeuronState(t=hi, U=u_c, V=v_c))
-        rows.add(hi, clamped.U, clamped.V, 0.0, clamped=True)
+        clamped, event = fsm.on_threshold(t, NeuronState(t=t, U=u, V=v))
+        rows.add(t, clamped.U, clamped.V, 0.0, clamped=True)
         if max_events is not None and len(fsm.events) >= max_events:
             break
-        k, e = after(hi)
+        k, e = after(t)
         if k > last:
             break
         # hold: clamped samples on the grid, then the release or the horizon
@@ -389,8 +355,8 @@ def integrate(
             break
         released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
         t, u, v = released.t, released.U, released.V
-        seg_lo, seg_hi, I_in, prm = drive(t)
-        rows.add(t, u, v, I_in)
+        s = prog.segment_index(t)
+        rows.add(t, u, v, currents[s])
         k, e = after(t)
 
     return rows.trace(vmin, vmax), fsm.events

@@ -107,10 +107,13 @@ class StimulusProgram:
     def is_constant(self) -> bool:
         return len(self._segments) == 1
 
+    def segment_index(self, t: float) -> int:
+        """Index of the segment whose half-open interval [t_start, t_end) contains ``t``."""
+        return max(bisect.bisect_right(self._starts, t) - 1, 0)
+
     def segment_at(self, t: float) -> Segment:
         """Segment whose half-open interval [t_start, t_end) contains ``t``."""
-        idx = bisect.bisect_right(self._starts, t) - 1
-        return self._segments[max(idx, 0)]
+        return self._segments[self.segment_index(t)]
 
     def drives_at(self, t: float) -> tuple[float, float]:
         seg = self.segment_at(t)

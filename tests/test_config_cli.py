@@ -99,6 +99,17 @@ def test_non_finite_values_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: IntegratorConfig(sample_stride=5.0), id="IntegratorConfig.sample_stride"),
+    pytest.param(lambda: ChirpSetup(sample_stride=2.5), id="ChirpSetup.sample_stride"),
+    pytest.param(lambda: ChirpSetup(sample_stride=0), id="ChirpSetup.sample_stride-zero"),
+    pytest.param(lambda: ChirpSetup(dt=0.0), id="ChirpSetup.dt"),
+])
+def test_fractional_strides_and_non_positive_steps_rejected(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config()
@@ -468,35 +479,47 @@ def _shorter(default: float):
 
 
 def _higher(default: float):
-    """Up to four decades above ``default`` (a chirp frequency), or 0 or negative."""
+    """Up to four decades above ``default``, or 0 or negative.
+
+    Used for chirp frequencies, and for step sizes: a finer step than
+    ``default`` would ask for a huge trace buffer.
+    """
     return st.one_of(
         st.floats(0.0, 4.0).map(lambda e: default * 10.0**e),
         st.sampled_from([0.0, -default]),
     )
 
 
-# section -> (command, base fields that keep the run short, strategies of the drawn fields)
+_STRIDES = st.one_of(st.integers(-1, 10**9), st.sampled_from([5.0, 2.5]))
+_SHORT_FI = {"fi": {"n_levels": 2, "level_min": 0.45, "level_max": 0.5,
+                    "spikes_per_point": 3, "timeout": 0.02}}
+
+# section -> (command, base document that keeps the run short, strategies of the
+# section's drawn fields)
 _SETUP_SECTIONS = {
-    "ringdown": ("ringdown", {"horizon": 0.02, "settle_window": 0.005}, {
+    "ringdown": ("ringdown", {"ringdown": {"horizon": 0.02, "settle_window": 0.005}}, {
         "t0": _around(1e-3), "width": _around(100e-6), "amplitude": _around(0.5),
         "horizon": _shorter(0.02), "settle_window": _around(0.005),
     }),
-    "fi": ("fi", {"n_levels": 2, "level_min": 0.45, "level_max": 0.5,
-                  "spikes_per_point": 3, "timeout": 0.02}, {
+    "fi": ("fi", _SHORT_FI, {
         "n_levels": st.integers(-1, 3), "spikes_per_point": st.integers(-1, 4),
         "level_min": _around(0.45), "level_max": _around(0.5), "V_th": _around(0.84),
         "timeout": _shorter(0.02),
     }),
-    "chirp": ("chirp", {"n_freqs": 2, "spikes_per_freq": 2, "f_start": 200.0, "f_end": 260.0,
-                        "n_bias": 1}, {
+    "integrator": ("fi", _SHORT_FI, {
+        "dt": _higher(1e-7), "sample_stride": _STRIDES, "crossing_tol": _around(1e-9),
+    }),
+    "chirp": ("chirp", {"chirp": {"n_freqs": 2, "spikes_per_freq": 2, "f_start": 200.0,
+                                  "f_end": 260.0, "n_bias": 1}}, {
         "n_freqs": st.integers(-1, 3), "spikes_per_freq": st.integers(-1, 3),
         "n_bias": st.integers(-1, 2), "f_start": _higher(200.0), "f_end": _higher(260.0),
         "pulse_width": _around(100e-6), "amplitude": _around(0.5),
         "bias_min": _around(105e-12), "bias_max": _around(162e-12),
         "vth_min": _around(0.84), "vth_max": _around(0.9),
         "vth_anchor_min": _around(105e-12), "vth_anchor_max": _around(255e-12),
+        "dt": _higher(1e-7), "sample_stride": _STRIDES,
     }),
-    "sweep": ("sweep-bias", {"n_points": 1}, {
+    "sweep": ("sweep-bias", {"sweep": {"n_points": 1}}, {
         "n_points": st.integers(-1, 2), "I_min": _around(10e-12), "I_max": _around(2.51e-9),
         "amplitude": _around(0.4), "width": _around(100e-6),
     }),
@@ -518,14 +541,17 @@ def _setup_section(name: str):
 @example(("chirp", {"n_bias": -1}))
 @example(("chirp", {"bias_min": -1e-10}))
 @example(("ringdown", {"settle_window": 0.5}))
+@example(("integrator", {"sample_stride": 5.0}))
+@example(("chirp", {"sample_stride": 2.5}))
 @settings(max_examples=40, deadline=None)
 def test_any_setup_section_ends_in_a_documented_exit_code(drawn):
-    """A short run on any ringdown, fi, chirp or sweep section exits 0-3 with <= 1 stderr line."""
+    """A short run on any ringdown, fi, integrator, chirp or sweep section exits 0-3 with
+    <= 1 stderr line."""
     name, fields = drawn
     command, base, _ = _SETUP_SECTIONS[name]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "setup.yaml"
-        path.write_text(yaml.safe_dump({name: {**base, **fields}}))
+        path.write_text(yaml.safe_dump({**base, name: {**base.get(name, {}), **fields}}))
         argv = [command, "--config", str(path), "--outdir", str(Path(tmp) / "o")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` exists, the package imports light, and the
 benchmark's traced call sites still exist."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import rfneuron
-from rfneuron import CircuitParams, experiments
+from rfneuron import (
+    CircuitParams, IntegratorConfig, NeuronState, derive_params, experiments, integrator, step,
+)
 
 MODULES = [m.name for m in pkgutil.iter_modules(rfneuron.__path__)]
 
@@ -33,18 +36,41 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == ""
 
 
-def test_benchmark_tracing_still_wraps_the_ringdown_extraction(monkeypatch, capsys):
-    # perfbench wraps module attributes by name; a renamed one is skipped with a
-    # "not found" warning and its layer metric silently reads 0
+def _traced_names(monkeypatch, capsys, run) -> set[str]:
+    """The span names recorded while ``run()`` runs under the benchmark's tracing.
+
+    perfbench wraps module attributes by name; a renamed one is skipped with a
+    "not found" warning and its layer metric silently reads 0.
+    """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     layers = importlib.import_module("layers")
     spans = importlib.import_module("spans")
     rec = spans.Recorder()
     layers.install(rec)
     try:
-        setup = experiments.RingdownSetup(horizon=0.02, settle_window=0.005)
-        experiments.run_ringdown(CircuitParams(), setup)
+        run()
     finally:
         rec.restore()
     assert "not found" not in capsys.readouterr().err
-    assert "analysis.ringdown_metrics" in {s.name for s in rec.spans}
+    return {s.name for s in rec.spans}
+
+
+def test_benchmark_tracing_still_wraps_the_ringdown_extraction(monkeypatch, capsys):
+    setup = experiments.RingdownSetup(horizon=0.02, settle_window=0.005)
+    names = _traced_names(monkeypatch, capsys,
+                          lambda: experiments.run_ringdown(CircuitParams(), setup))
+    assert "analysis.ringdown_metrics" in names
+
+
+def test_benchmark_tracing_still_wraps_the_event_path(monkeypatch, capsys):
+    p = dataclasses.replace(CircuitParams(), V_th=0.840)
+    dp = derive_params(p)
+
+    def run():
+        _, events = integrator.integrate(NeuronState(t=0.0, U=dp.U_star, V=dp.V_star), p,
+                                         step(0.0, 0.0, 0.5), IntegratorConfig(t_end=0.01))
+        assert len(events) >= 2
+
+    names = _traced_names(monkeypatch, capsys, run)
+    assert {"handshake.on_threshold", "handshake.release", "stimuli.synapse_current",
+            "core.derive_params"} <= names

@@ -1,33 +1,45 @@
 """RK4 stepping, the C kernel and its loader, event refinement, trace bookkeeping."""
 
+import ctypes
 import dataclasses
 import math
 import shutil
 import subprocess
 import tempfile
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfneuron import (
+    AckMode,
     CircuitParams,
     ConfigError,
     HandshakeConfig,
     IntegratorConfig,
     NeuronState,
     Phase,
+    ProtocolError,
+    StimulusProgram,
+    Trace,
     derive_params,
     integrate,
     pulse,
     rhs,
     step,
+    synapse_current,
 )
 from rfneuron.cli import main
 from rfneuron.config import load_config
 from rfneuron.experiments import ringdown_metrics, run_ringdown
-from rfneuron.integrator import _KERNEL_SOURCE, _load_kernel, _span_params, _step
-from rfneuron.stimuli import Polarity
+from rfneuron.handshake import HandshakeFSM
+from rfneuron.integrator import (
+    _GRID_SNAP, _KERNEL_SOURCE, _KS, _TUV, _lib, _load_kernel, _span_params,
+)
+from rfneuron.stimuli import Polarity, Segment
 
 
 def equilibrium_state(p: CircuitParams) -> NeuronState:
@@ -40,9 +52,22 @@ def zero_program():
 
 
 def kernel_step(p, ref, I_in):
-    """The C kernel's one-step entry as ``step(u, v, h) -> (u, v)``."""
-    prm = _span_params(p, ref, I_in)
-    return lambda u, v, h: _step(prm, u, v, h)
+    """One RK4 step of the span runner as ``step(u, v, h) -> (u, v)``.
+
+    The step is a whole ``rf_run`` call: one open-ended segment, no extra
+    stop, one stop (``last = 1``, ``dt = t_end = h``) and a threshold that no
+    step crosses.
+    """
+    prm = (ctypes.c_double * 12)(*_span_params(p, ref, I_in))
+    inf = (ctypes.c_double * 1)(math.inf)  # the segment's end and the extra stops' sentinel
+    i_in, row = (ctypes.c_double * 1)(I_in), (ctypes.c_double * 4)()
+
+    def step_fn(u, v, h):
+        tuv, ks = _TUV(0.0, u, v), _KS(1, 0, 0, 0)
+        _lib.rf_run(prm, inf, i_in, inf, tuv, ks, 1, 1, h, h, math.inf, h, row, 1)
+        return tuv[1], tuv[2]
+
+    return step_fn
 
 
 def rk4_from_rhs(p, ref, I_in, U, V, h):
@@ -434,6 +459,173 @@ class TestIntegrate:
         columns = (trace.t, trace.U, trace.V, trace.I_in, trace.clamped, trace.overflow)
         for j, column in enumerate(columns):
             np.testing.assert_allclose(data[:, j], column.astype(float), rtol=1e-11, atol=0.0)
+
+
+def reference_integrate(s0, p, prog, cfg, protocol=None, max_events=None):
+    """``integrate()`` as a Python loop over single stops, each stepped by ``kernel_step``.
+
+    This is the stop schedule that ``rf_run`` must reproduce bit for bit:
+    grid stops, extra stops at off-grid breakpoints, the sample rule,
+    segment switches at step midpoints and the crossing bisection.  The
+    arguments must be valid; ``integrate()`` does the checking.
+    """
+    if protocol is None:
+        protocol = HandshakeConfig(T_spk=p.T_spk)
+    ref_current = 0.0
+    if prog.is_constant:
+        ref_current = synapse_current(*prog.drives_at(0.0), p)
+    ref = derive_params(p, I_in=ref_current)
+
+    dt, t_end, stride, tol = cfg.dt, cfg.t_end, cfg.sample_stride, cfg.crossing_tol
+    n = math.floor(t_end / dt + _GRID_SNAP)
+    last = n if n and n * dt >= t_end * (1.0 - _GRID_SNAP) else n + 1
+    grid = range(1, last + 1)
+
+    def stop(k):
+        return k * dt if k < last else t_end
+
+    def off_grid(b):
+        i = bisect_left(grid, b, key=stop)
+        return all(abs(b - stop(k)) > dt * _GRID_SNAP for k in (i, i + 1) if 1 <= k <= last)
+
+    extras = [b for b in prog.breakpoints if 0.0 < b < t_end * (1.0 - _GRID_SNAP) and off_grid(b)]
+    extras.append(math.inf)
+
+    def after(x):
+        y = x * (1.0 + _GRID_SNAP)
+        return bisect_right(grid, y, key=stop) + 1, bisect_right(extras, y)
+
+    def drive(x):
+        seg = prog.segment_at(x)
+        i_in = synapse_current(seg.V_exc, seg.V_inh, p)
+        return seg.t_start, seg.t_end, i_in, kernel_step(p, ref, i_in)
+
+    fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
+    V_reset, V_th = p.V_reset, p.V_th
+    t, u, v = s0.t, s0.U, s0.V
+    seg_lo, seg_hi, I_in, step_fn = drive(t)
+    rows = [(t, u, v, I_in, False)]
+    k, e = after(t)
+    while k <= last:
+        t_next = stop(k)
+        if extras[e] < t_next:
+            t_next, sample = extras[e], False
+            e += 1
+        else:
+            sample = k % stride == 0 or k == last
+            k += 1
+        h = t_next - t
+        mid = t + 0.5 * h
+        if not (seg_lo <= mid < seg_hi):
+            seg_lo, seg_hi, I_in, step_fn = drive(mid)
+        u_new, v_new = step_fn(u, v, h)
+        if not v < V_th <= v_new:
+            t, u, v = t_next, u_new, v_new
+            if sample:
+                rows.append((t, u, v, I_in, False))
+            continue
+
+        lo, hi = t, t_next
+        while hi - lo > tol:
+            m = 0.5 * (lo + hi)
+            if step_fn(u, v, m - t)[1] >= V_th:
+                hi = m
+            else:
+                lo = m
+        u_c, v_c = step_fn(u, v, hi - t)
+        clamped, event = fsm.on_threshold(hi, NeuronState(t=hi, U=u_c, V=v_c))
+        rows.append((hi, clamped.U, clamped.V, 0.0, True))
+        if max_events is not None and len(fsm.events) >= max_events:
+            break
+        k, e = after(hi)
+        if k > last:
+            break
+        t_rel = event.t_release
+        hold_end = min(t_rel, t_end) * (1.0 - _GRID_SNAP)
+        while k < last and k * dt < hold_end:
+            if k % stride == 0:
+                rows.append((k * dt, V_reset, V_th, 0.0, True))
+            k += 1
+        if t_rel >= t_end:
+            rows.append((t_end, V_reset, V_th, 0.0, True))
+            break
+        released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
+        t, u, v = released.t, released.U, released.V
+        seg_lo, seg_hi, I_in, step_fn = drive(t)
+        rows.append((t, u, v, I_in, False))
+        k, e = after(t)
+
+    t, U, V, I_in = (np.array(col) for col in list(zip(*rows))[:4])
+    lo, hi = p.v_min_guard, p.v_max_guard
+    inside = (lo <= U) & (U <= hi) & (lo <= V) & (V <= hi)
+    return Trace(t, U, V, I_in, np.array([r[4] for r in rows]), ~inside), fsm.events
+
+
+@st.composite
+def schedules(draw):
+    """A short run with firing drive, off-grid and snapped edges, holds and acknowledges."""
+    dt = draw(st.sampled_from([1e-5, 4e-6]))
+    n_grid = draw(st.integers(50, 3000))
+    t_end = (n_grid + draw(st.sampled_from([0.0, 0.37, 0.999, 1e-12, -1e-12]))) * dt
+
+    def edge(x):
+        k, kind = x
+        offset = {"off": 0.4137, "snap+": 1e-10, "snap-": -1e-10, "near": 2e-8}[kind]
+        return (1 + k % (n_grid - 1) + offset) * dt
+
+    edges = draw(st.lists(st.tuples(st.integers(1, 10**6),
+                                    st.sampled_from(["off", "snap+", "snap-", "near"])),
+                          max_size=6).map(lambda xs: sorted({edge(x) for x in xs})))
+    drives = st.tuples(st.sampled_from([0.0, 0.3, 0.45, 0.5, 0.6]), st.sampled_from([0.0, 0.3, 0.4]))
+    bounds = [0.0, *edges, math.inf]
+    prog = StimulusProgram([Segment(a, b, *draw(drives)) for a, b in zip(bounds, bounds[1:])])
+
+    p = dataclasses.replace(CircuitParams(), V_th=draw(st.sampled_from([0.84, 0.85])))
+    t0 = draw(st.sampled_from([0.0, 0.0, 0.31 * t_end, 17.5 * dt]))
+    dp = derive_params(p)
+    s0 = NeuronState(t=t0, U=dp.U_star, V=dp.V_star)
+    cfg = IntegratorConfig(dt=dt, t_end=t_end, crossing_tol=draw(st.sampled_from([1e-9, 2.5e-8])),
+                           sample_stride=draw(st.integers(1, 9) | st.just(10**9)))
+    holds = st.floats(1e-5, 3e-3)
+    protocol = draw(st.none() | holds.map(lambda T: HandshakeConfig(T_spk=T)) | st.builds(
+        HandshakeConfig, mode=st.just(AckMode.SCRIPTED_ACK), T_spk=holds,
+        ack_delays=st.lists(st.floats(0.0, 2e-3), max_size=8).map(tuple)))
+    max_events = draw(st.none() | st.integers(1, 5))
+    return s0, p, prog, cfg, protocol, max_events
+
+
+def outcome(run, args):
+    """The trace columns as bytes and the events, or the protocol error."""
+    try:
+        trace, events = run(*args)
+    except ProtocolError as exc:
+        return repr(exc)
+    columns = ("t", "U", "V", "I_in", "clamped", "overflow")
+    return [(getattr(trace, c).dtype, getattr(trace, c).tobytes()) for c in columns], repr(events)
+
+
+class TestStopSchedule:
+    @given(schedules())
+    @example((  # off-grid pulse edges, a firing drive, a mid-grid start and an off-grid t_end
+        NeuronState(t=2.05e-4, U=derive_params(CircuitParams()).U_star,
+                    V=derive_params(CircuitParams()).V_star),
+        dataclasses.replace(CircuitParams(), V_th=0.84),
+        pulse(1.00037e-3, 523.4e-6, 0.6, Polarity.EXC),
+        IntegratorConfig(dt=4e-6, t_end=0.0061234, sample_stride=3),
+        None, None,
+    ))
+    @example((  # rhythmic firing, every grid stop sampled, scripted acknowledges
+        equilibrium_state(dataclasses.replace(CircuitParams(), V_th=0.84)),
+        dataclasses.replace(CircuitParams(), V_th=0.84),
+        step(0.0, 0.0, 0.5, Polarity.EXC),
+        IntegratorConfig(t_end=0.03, sample_stride=1),
+        HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=60e-6,
+                        ack_delays=(0.0, 1.234e-4, 2e-3, 0.0, 5e-5) * 4),
+        None,
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_runner_matches_the_per_stop_loop(self, run):
+        assert outcome(integrate, run) == outcome(reference_integrate, run)
 
 
 class TestOrderOfAccuracy:
