@@ -28,11 +28,19 @@ The frequency and Q estimates read the same peaks of the unclamped V
 samples.  Each public extractor searches its trace itself;
 ``experiments.ringdown_metrics`` reads both from ``_v_metrics``, which
 searches V once and hands the peaks to both.
+
+The sweeps (:func:`fi_curve` and :func:`tuning_map`) run their independent
+lanes on a thread pool (:func:`_map_lanes`).  A lane spends nearly all of
+its time in the compiled span runner, which ``ctypes`` calls with the GIL
+released, so the lanes of one sweep run in parallel in one process: no
+fork, no pickling and no second copy of the process's memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -339,6 +347,21 @@ def _v_metrics(
     return results[0], results[1]
 
 
+def _map_lanes(fn, items) -> list:
+    """``[fn(x) for x in items]``, run on ``min(len(items), os.cpu_count())`` threads.
+
+    Results keep the input order.  When lanes raise, the exception of the
+    first of them in input order propagates, as in the serial loop, and lanes
+    not yet started are cancelled.
+    """
+    items = list(items)
+    threads = min(len(items), os.cpu_count() or 1)
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def fi_curve(
     p: CircuitParams,
     levels: list[float],
@@ -354,7 +377,9 @@ def fi_curve(
     elapse; silence is a valid zero-rate outcome.  Returns rows of
     (level_V, rate_Hz, rate_std_Hz) in the order given; levels must be
     increasing, and ``spikes_per_point`` at least 2, since a rate needs one
-    inter-spike interval.
+    inter-spike interval.  The levels are independent lanes: they run on
+    threads, up to one per CPU, and the rows come back in level order
+    whatever the thread count.  There is no option for it.
     """
     if any(b >= c for b, c in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -366,14 +391,14 @@ def fi_curve(
         cfg = replace(cfg, t_end=timeout)
     dp = derive_params(p)
     s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
-    rows: list[tuple[float, float, float]] = []
-    for level in levels:
+
+    def level_row(level: float) -> tuple[float, float, float]:
         prog = step(0.0, 0.0, level, v_limit=p.V_DD)
         _, events = integrate(s0, p, prog, cfg, protocol, max_events=spikes_per_point)
         rate = firing_rate(events)
-        std = 0.0 if not rate.defined else rate.std_hz
-        rows.append((level, rate.mean_hz, std))
-    return rows
+        return level, rate.mean_hz, 0.0 if not rate.defined else rate.std_hz
+
+    return _map_lanes(level_row, levels)
 
 
 def tuning_map(
@@ -389,7 +414,10 @@ def tuning_map(
     For each bias level the matching threshold from ``vth_schedule`` is
     applied, the chirp is simulated, and every output spike is binned by the
     frequency block active at its request time.  Spikes after the final
-    block (free ringing of the tail) land in the last block.
+    block (free ringing of the tail) land in the last block.  The bias rows
+    are independent lanes: they run on threads, up to one per CPU, and the
+    counts come back in row order whatever the thread count.  There is no
+    option for it.
     """
     if len(bias_levels) != len(vth_schedule):
         raise ValueError("bias_levels and vth_schedule must have matching lengths")
@@ -397,20 +425,24 @@ def tuning_map(
         raise ValueError("tuning_map requires a chirp program with frequency blocks")
     blocks = chirp.freq_blocks
     freqs = tuple(b.frequency for b in blocks)
-    counts = np.zeros((len(bias_levels), len(freqs)), dtype=int)
     if cfg is None:
         cfg = IntegratorConfig(t_end=blocks[-1].t_end)
 
-    for row, (bias, vth) in enumerate(zip(bias_levels, vth_schedule)):
+    def row_counts(bias_vth: tuple[float, float]) -> list[int]:
+        bias, vth = bias_vth
         p = replace(base, I_IU=bias, I_IV=bias, V_th=vth)
         dp = derive_params(p)
         s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
         _, events = integrate(s0, p, chirp, cfg, protocol)
+        row = [0] * len(freqs)
         for e in events:
-            counts[row, chirp.block_index(e.t_req)] += 1
+            row[chirp.block_index(e.t_req)] += 1
+        return row
+
+    counts = _map_lanes(row_counts, zip(bias_levels, vth_schedule))
     return TuningMap(
         bias_levels=tuple(bias_levels),
         frequencies=freqs,
         vth_schedule=tuple(vth_schedule),
-        counts=counts,
+        counts=np.array(counts, dtype=int).reshape(len(bias_levels), len(freqs)),
     )

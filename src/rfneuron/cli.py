@@ -19,8 +19,9 @@ or :func:`write_json`.  A CSV float cell has 12 significant digits
 it is; JSON is indented by 2 and ends in a newline.  Exit codes:
 
     0  success
-    1  configuration error, including a scripted acknowledge list too short
-       for the run and a mismatch model that yields no valid Monte-Carlo die
+    1  configuration error, including a config file that is not well-formed
+       YAML, a scripted acknowledge list too short for the run and a
+       mismatch model that yields no valid Monte-Carlo die
     2  numeric diagnostic: a voltage-guard overflow flag was raised, or a
        reported metric is undefined (e.g. ``sweep-bias`` with fewer than 2
        measurable points)
@@ -53,23 +54,33 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(int(v))
+def _row_template(types: tuple[type, ...]) -> str:
+    """The ``%`` template of a CSV row whose cells have these types.
+
+    A string cell is ``%s``, a float (numpy's float64 included) ``%.12g``,
+    and any other cell ``%d``, which writes ``int(cell)``.
+    """
+    return ",".join(
+        "%s" if issubclass(t, str) else "%.12g" if issubclass(t, float) else "%d" for t in types
+    ) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
     """Stream ``header`` and then each row of cells to a CSV file.
 
     A float cell is written to 12 significant digits, an int or bool flag as
-    an integer (numpy scalars included), and a string as it is.
+    an integer (numpy scalars included), and a string as it is.  Each row is
+    formatted by one ``%`` template, made once per tuple of cell types.
     """
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w", newline="") as fh:
         for row in chain([header], rows):
-            fh.write(",".join(map(_cell, row)) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = _row_template(types)
+            fh.write(template % row)
 
 
 def write_json(path, payload) -> None:

@@ -6,6 +6,12 @@ defaults to the calibrated values, so an empty section stands for all of
 its defaults.  All sections are validated by the target types' own
 invariants before any simulation starts, and every run writes the
 fully-defaulted effective configuration next to its outputs.
+
+YAML is parsed and emitted by libyaml (PyYAML's ``CSafeLoader`` and
+``CSafeDumper``) when PyYAML was built with it, and by the pure-Python
+``SafeLoader`` and ``SafeDumper`` otherwise.  Both pairs share PyYAML's
+Python resolver, constructor and representer, so they load the same values
+and dump the same bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .stimuli import Polarity
 from .experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup
 
 __all__ = ["ExperimentConfig", "load_config", "dump_effective_config"]
+
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,17 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     """Load and validate a config file; missing sections use defaults.
 
     ``overrides`` maps dotted keys ('integrator.dt', 'montecarlo.model.seed')
-    onto replacement values, applied after the file is read.
+    onto replacement values, applied after the file is read.  A file that
+    is not well-formed YAML raises :class:`ConfigError` naming the line and
+    column of the fault.
     """
     raw: dict = {}
     if path is not None:
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            try:
+                loaded = yaml.load(fh, Loader=_Loader)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"malformed YAML in {path}: {_yaml_fault(exc)}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -158,6 +172,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     )
 
 
+def _yaml_fault(exc: yaml.YAMLError) -> str:
+    """One line naming what PyYAML found wrong and, when it knows, where (1-based)."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return " ".join(str(exc).split()) or type(exc).__name__
+    return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def _plain(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -173,4 +195,4 @@ def _plain(obj):
 def dump_effective_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Write the fully-defaulted configuration for provenance."""
     with open(path, "w") as fh:
-        yaml.safe_dump(_plain(cfg), fh, sort_keys=True, default_flow_style=False)
+        yaml.dump(_plain(cfg), fh, Dumper=_Dumper, sort_keys=True, default_flow_style=False)

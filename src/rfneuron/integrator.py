@@ -308,11 +308,13 @@ def integrate(
         y = x * (1.0 + _GRID_SNAP)
         return bisect_right(grid, y, key=stop) + 1, bisect_right(extras, y)
 
-    # rf_run's tables: kernel constants, end time and input current per segment, extra stops
-    currents = [synapse_current(seg.V_exc, seg.V_inh, p) for seg in prog.segments]
+    # rf_run's tables: kernel constants, end time and input current per segment up to
+    # the one holding t_end (no step midpoint reaches past it), extra stops
+    segments = prog.segments[: prog.segment_index(t_end) + 1]
+    currents = [synapse_current(seg.V_exc, seg.V_inh, p) for seg in segments]
     tables = (
         np.array([_span_params(p, ref, c) for c in currents]),
-        np.array([seg.t_end for seg in prog.segments]),
+        np.array([seg.t_end for seg in segments]),
         np.array(currents),
         np.array(extras),
     )

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,9 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfneuron import (
+    AckMode,
     CircuitParams,
+    HandshakeConfig,
     IntegratorConfig,
     NeuronState,
+    ProtocolError,
     Trace,
     UndefinedMetricError,
     derive_params,
@@ -33,6 +40,7 @@ from rfneuron.analysis import (
     TuningMap,
     _channel_peaks,
     _find_peaks,
+    _map_lanes,
     resonant_frequency_estimates,
 )
 from rfneuron.cli import write_csv, write_json
@@ -505,3 +513,89 @@ class TestTuningMap:
         tm = tuning_map(p, [150e-12], [0.850], chirp)
         assert tm.counts.shape == (1, 2)
         assert tm.counts.sum() >= 1
+
+
+_SCRIPTED = HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=CircuitParams().T_spk,
+                            ack_delays=tuple(20e-6 * (i % 4) for i in range(40)))
+_PROTOCOLS = [pytest.param(None, id="self-ack"), pytest.param(_SCRIPTED, id="scripted-ack")]
+_SHORT_CHIRP = spiking_chirp(196.0, 220.0, 2, 10, 100e-6, 0.5, Polarity.INH)
+
+
+def _on_cpus(monkeypatch, cpus: int, run):
+    """``run()`` with ``os.cpu_count`` reporting ``cpus``, switching threads every microsecond."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestLanes:
+    """Sweep lanes run on threads and give what one lane at a time gives."""
+
+    def test_lanes_run_at_once_and_keep_their_order(self, monkeypatch):
+        barrier = threading.Barrier(3, timeout=30)
+
+        def lane(x):
+            barrier.wait()  # breaks unless all three lanes run at the same time
+            return x * x
+
+        assert _on_cpus(monkeypatch, 3, lambda: _map_lanes(lane, [3, 1, 2])) == [9, 1, 4]
+
+    def test_one_cpu_runs_the_lanes_in_the_calling_thread(self, monkeypatch):
+        def idents():
+            return _map_lanes(lambda _: threading.get_ident(), "abc")
+
+        assert _on_cpus(monkeypatch, 1, idents) == [threading.get_ident()] * 3
+
+    def test_first_failing_lane_in_input_order_raises(self, monkeypatch):
+        def lane(x):
+            if x == 1:
+                time.sleep(0.05)  # fails after lane 2 has
+            if x:
+                raise ValueError(f"lane {x}")
+            return x
+
+        with pytest.raises(ValueError, match="lane 1"):
+            _on_cpus(monkeypatch, 3, lambda: _map_lanes(lane, [0, 1, 2]))
+
+    @pytest.mark.parametrize("protocol", _PROTOCOLS)
+    def test_fi_rows_do_not_depend_on_the_thread_count(self, protocol, monkeypatch):
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+
+        def rows():
+            return fi_curve(p, [0.38, 0.44, 0.47, 0.50], spikes_per_point=8, timeout=0.1,
+                            protocol=protocol)
+
+        serial = _on_cpus(monkeypatch, 1, rows)
+        assert repr(_on_cpus(monkeypatch, 4, rows)) == repr(serial)
+        assert serial[0][1] == 0.0 and all(r > 0.0 for _, r, _ in serial[1:])
+
+    @pytest.mark.parametrize("protocol", _PROTOCOLS)
+    def test_tuning_map_counts_do_not_depend_on_the_thread_count(self, protocol, monkeypatch):
+        def counts():
+            return tuning_map(CircuitParams(), [120e-12, 150e-12, 180e-12], [0.85, 0.85, 0.86],
+                              _SHORT_CHIRP, protocol=protocol).counts
+
+        serial = _on_cpus(monkeypatch, 1, counts)
+        assert np.array_equal(_on_cpus(monkeypatch, 4, counts), serial)
+        assert serial.shape == (3, 2) and np.count_nonzero(serial.sum(axis=1)) >= 2
+
+    def test_acks_running_out_in_a_middle_lane_fail_alike(self, monkeypatch):
+        short = dataclasses.replace(_SCRIPTED, ack_delays=_SCRIPTED.ack_delays[:10])
+        bias, vth = [120e-12, 150e-12, 180e-12], [0.90, 0.85, 0.90]
+        for i in (0, 2):  # the outer rows stay within ten acknowledges, the middle one does not
+            tuning_map(CircuitParams(), [bias[i]], [vth[i]], _SHORT_CHIRP, protocol=short)
+
+        def run():
+            return tuning_map(CircuitParams(), bias, vth, _SHORT_CHIRP, protocol=short)
+
+        errors = []
+        for cpus in (1, 4):
+            with pytest.raises(ProtocolError) as info:
+                _on_cpus(monkeypatch, cpus, run)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("scripted acknowledge list exhausted at event 10")

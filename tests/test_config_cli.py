@@ -6,6 +6,7 @@ import filecmp
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -15,10 +16,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfneuron import CircuitParams, HandshakeConfig, IntegratorConfig, MismatchModel, cli
+from rfneuron import CircuitParams, HandshakeConfig, IntegratorConfig, MismatchModel, cli, config
 from rfneuron.cli import main, write_csv, write_json
 from rfneuron.config import (
-    ExperimentConfig, MonteCarloSetup, dump_effective_config, load_config,
+    ExperimentConfig, MonteCarloSetup, _plain, dump_effective_config, load_config,
 )
 from rfneuron.errors import ConfigError, UndefinedMetricError
 from rfneuron.experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup
@@ -110,6 +111,17 @@ def test_fractional_strides_and_non_positive_steps_rejected(build):
         build()
 
 
+# each fails in PyYAML's scanner, parser or constructor
+MALFORMED_YAML = [
+    pytest.param("neuron: {C1: [1", id="unclosed-flow"),
+    pytest.param("neuron:\n  C1: 1.0e-12\n C2: 1.0e-12\n", id="bad-indent"),
+    pytest.param("neuron:\n\tC1: 1.0e-12\n", id="tab-indent"),
+    pytest.param("fi: {n_levels: 4}\nfi: {n_levels: 5}: 6\n", id="mapping-in-scalar"),
+    pytest.param("chirp:\n  polarity: 'inh\n", id="unclosed-quote"),
+    pytest.param("neuron: !!python/name:os.system\n", id="unsafe-tag"),
+]
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config()
@@ -174,6 +186,51 @@ class TestLoadConfig:
         again = load_config(path)
         assert again == cfg
 
+    @pytest.mark.parametrize("text", MALFORMED_YAML)
+    def test_malformed_yaml_names_line_and_column(self, text, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        fault = r"malformed YAML in .*bad\.yaml: .* at line \d+, column \d+$"
+        with pytest.raises(ConfigError, match=fault):
+            load_config(path)
+
+    def test_invalid_utf8_is_malformed_yaml(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"chirp: {polarity: \xc3\x28}\n")
+        with pytest.raises(ConfigError, match="malformed YAML"):
+            load_config(path)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestLibyaml:
+    """libyaml parses and emits; the Python resolver, constructor and representer decide."""
+
+    DOCUMENTS = [FAST_CONFIG, "neuron: {C1: 1.2e-12, V_th: .85}\nfi: {spikes_per_point: 0x10}\n",
+                 "chirp:\n  polarity: INH\n  f_start: 1.0e+2\n  f_end: 300\nmontecarlo: {}\n"]
+    # YAML 1.1 corners: 1e2, -.NaN and 0o17 are strings, 017 is octal, yes a bool
+    SCALARS = ("a: [1e2, 1.0e+2, .inf, -.NaN, 0o17, 017, 0x1f, 1_000]\n"
+               "b: [yes, No, ~, '', 2001-12-14]\n")
+
+    def test_config_uses_the_c_classes(self):
+        assert (config._Loader, config._Dumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
+
+    @pytest.mark.parametrize("text", [*DOCUMENTS, SCALARS])
+    def test_c_and_python_loaders_agree(self, text):
+        c_value = yaml.load(text, Loader=yaml.CSafeLoader)
+        py_value = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(c_value) == repr(py_value)  # repr: same types, and nan reads alike
+
+    @pytest.mark.parametrize("text", DOCUMENTS)
+    def test_c_and_python_dumpers_agree(self, text, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        plain = _plain(load_config(path))
+        c_text, py_text = (yaml.dump(plain, Dumper=d, sort_keys=True, default_flow_style=False)
+                           for d in (yaml.CSafeDumper, yaml.SafeDumper))
+        assert c_text == py_text
+        dump_effective_config(load_config(path), tmp_path / "eff.yaml")
+        assert (tmp_path / "eff.yaml").read_text() == py_text
+
 
 TRACE_HEADER = "t_s,U_V,V_V,I_in_A,clamped,overflow"
 
@@ -206,12 +263,46 @@ OUTDIR_CONTRACT = {
 }
 
 
+def _cell(v) -> str:
+    """The CSV cell rule: strings as they are, floats to .12g, anything else as int(v)."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(int(v))
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_csv_cells = st.one_of(
+    st.text(st.sampled_from("ab%,;.-e 0"), max_size=5),
+    _any_float,
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    _any_float.map(np.float64),
+)
+
+
 class TestWriters:
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "cells.csv"
         write_csv(path, ("x", 2.0), [(1.0 / 3.0, True), (np.float64(2.5e-12), np.bool_(False)),
                                      (np.int64(7), "a;b"), (math.nan, 12)])
         assert path.read_text() == "x,2\n0.333333333333,1\n2.5e-12,0\n7,a;b\nnan,12\n"
+
+    @given(st.lists(st.lists(_csv_cells, max_size=6), max_size=6))
+    @example([["50%,x", -0.0, 5e-324, math.nan, -math.inf, math.inf],
+              [True, np.bool_(True), np.int64(-2**63), np.float64(1e-310), "%d%s%%", ","]])
+    @settings(max_examples=60, deadline=None)
+    def test_csv_rows_follow_the_cell_rule(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            write_csv(path, ("h%", "h,"), rows)
+            text = path.read_bytes().decode("ascii")
+        expected = "".join(",".join(map(_cell, row)) + "\n" for row in [("h%", "h,"), *rows])
+        assert text == expected
 
     def test_json_layout(self, tmp_path):
         path = tmp_path / "payload.json"
@@ -409,6 +500,32 @@ class TestCli:
         bad.write_text("neuron:\n  V_reset: 0.9\n")
         rc = main(["ringdown", "--config", str(bad), "--outdir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("text", MALFORMED_YAML)
+    @pytest.mark.parametrize("command", ["ringdown", "fi"])
+    def test_malformed_yaml_exit_code(self, command, text, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        rc = main([command, "--config", str(bad), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed YAML in ")
+        assert err.count("\n") == 1
+
+    def test_exhausted_scripted_acks_fail_alike_on_any_thread_count(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # the first of the four F-I levels is silent, so the list runs out in a later lane
+        path = tmp_path / "acks.yaml"
+        path.write_text(FAST_CONFIG + "handshake: {mode: scripted_ack, ack_delays: [0.0, 0.0]}\n")
+        seen = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            rc = main(["fi", "--config", str(path), "--outdir", str(tmp_path / f"o{cpus}")])
+            seen.append((rc, capsys.readouterr().err))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 1
+        assert seen[0][1].startswith(
+            "protocol error: scripted acknowledge list exhausted at event 2")
 
     def test_seed_override_changes_population(self, fast_config, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))

@@ -34,7 +34,8 @@ from rfneuron import (
 )
 from rfneuron.cli import main
 from rfneuron.config import load_config
-from rfneuron.experiments import ringdown_metrics, run_ringdown
+from rfneuron import integrator
+from rfneuron.experiments import ChirpSetup, ringdown_metrics, run_ringdown
 from rfneuron.handshake import HandshakeFSM
 from rfneuron.integrator import (
     _GRID_SNAP, _KERNEL_SOURCE, _KS, _TUV, _lib, _load_kernel, _span_params,
@@ -214,6 +215,12 @@ class TestKernelLoader:
         assert [b.parent.parent for b in builds] == [tmp_path / "tmp"]
         assert lib._name == str(builds[0])
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_kernel_runs_without_the_gil(self):
+        # ctypes releases the GIL around a CDLL call; a PyDLL (a CDLL subclass)
+        # holds it, and the sweep lanes' kernel calls would run one at a time
+        assert type(_lib) is ctypes.CDLL
+        assert not _lib.rf_run._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
     def test_warm_cache_starts_no_compiler(self, source, monkeypatch):
         first = _load_kernel(source)
@@ -626,6 +633,32 @@ class TestStopSchedule:
     @settings(max_examples=80, deadline=None)
     def test_runner_matches_the_per_stop_loop(self, run):
         assert outcome(integrate, run) == outcome(reference_integrate, run)
+
+
+_CHIRP = ChirpSetup().program(v_limit=CircuitParams().V_DD)
+_B = _CHIRP.breakpoints
+
+
+class TestSegmentTables:
+    """A short run on a long program builds tables only up to the segment holding t_end."""
+
+    @pytest.mark.parametrize("t_end", [1e-4, _B[5], 0.5 * (_B[5] + _B[6]), _B[-1] + 1e-3],
+                             ids=["0.1ms", "at-a-breakpoint", "mid-segment", "past-the-last"])
+    def test_short_run_on_the_default_chirp(self, t_end, monkeypatch):
+        p = dataclasses.replace(CircuitParams(), V_th=0.84)
+        cfg = dataclasses.replace(ChirpSetup().integrator_config(_CHIRP), t_end=t_end,
+                                  sample_stride=3)
+        run = (equilibrium_state(p), p, _CHIRP, cfg, None, None)
+        assert outcome(integrate, run) == outcome(reference_integrate, run)
+        currents = []
+
+        def counted(*args):
+            currents.append(args)
+            return synapse_current(*args)
+
+        monkeypatch.setattr(integrator, "synapse_current", counted)
+        integrate(*run[:4])
+        assert len(currents) == _CHIRP.segment_index(t_end) + 1
 
 
 class TestOrderOfAccuracy:
