@@ -69,6 +69,13 @@ PEAK_MIN_PROMINENCE = 0.1e-3  # V
 # Maximum relative disagreement tolerated between the two frequency estimators.
 FREQ_CONSISTENCY_TOL = 0.02
 
+# Most sweep lanes live at once.  Each live lane holds its own trace buffer
+# and malloc arena: with one lane per CPU, peak RSS of the default `fi` run
+# went from 33.9 MB (one lane at a time) to 36.0-37.1 MB at 4 lanes and
+# 45.5 MB at 26; at 3 lanes it stays within 6% (35.2-35.9 MB; `chirp
+# --full-map` 36.5 -> 38.5 MB).
+_MAX_LANES = 3
+
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -348,17 +355,15 @@ def _v_metrics(
 
 
 def _map_lanes(fn, items) -> list:
-    """``[fn(x) for x in items]``, run on ``min(len(items), os.cpu_count())`` threads.
+    """``[fn(x) for x in items]``, run on ``min(len(items), os.cpu_count(), _MAX_LANES)`` threads.
 
     Results keep the input order.  When lanes raise, the exception of the
     first of them in input order propagates, as in the serial loop, and lanes
     not yet started are cancelled.
     """
     items = list(items)
-    threads = min(len(items), os.cpu_count() or 1)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    threads = min(len(items), os.cpu_count() or 1, _MAX_LANES)
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         return list(pool.map(fn, items))
 
 
@@ -378,8 +383,8 @@ def fi_curve(
     (level_V, rate_Hz, rate_std_Hz) in the order given; levels must be
     increasing, and ``spikes_per_point`` at least 2, since a rate needs one
     inter-spike interval.  The levels are independent lanes: they run on
-    threads, up to one per CPU, and the rows come back in level order
-    whatever the thread count.  There is no option for it.
+    threads, one per CPU up to ``_MAX_LANES``, and the rows come back in
+    level order whatever the thread count.  There is no option for it.
     """
     if any(b >= c for b, c in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -415,9 +420,9 @@ def tuning_map(
     applied, the chirp is simulated, and every output spike is binned by the
     frequency block active at its request time.  Spikes after the final
     block (free ringing of the tail) land in the last block.  The bias rows
-    are independent lanes: they run on threads, up to one per CPU, and the
-    counts come back in row order whatever the thread count.  There is no
-    option for it.
+    are independent lanes: they run on threads, one per CPU up to
+    ``_MAX_LANES``, and the counts come back in row order whatever the
+    thread count.  There is no option for it.
     """
     if len(bias_levels) != len(vth_schedule):
         raise ValueError("bias_levels and vth_schedule must have matching lengths")

@@ -176,7 +176,7 @@ def _yaml_fault(exc: yaml.YAMLError) -> str:
     """One line naming what PyYAML found wrong and, when it knows, where (1-based)."""
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
-        return " ".join(str(exc).split()) or type(exc).__name__
+        return " ".join(str(exc).split())
     return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
 
 

@@ -40,6 +40,7 @@ from rfneuron.analysis import (
     TuningMap,
     _channel_peaks,
     _find_peaks,
+    _MAX_LANES,
     _map_lanes,
     resonant_frequency_estimates,
 )
@@ -544,11 +545,21 @@ class TestLanes:
 
         assert _on_cpus(monkeypatch, 3, lambda: _map_lanes(lane, [3, 1, 2])) == [9, 1, 4]
 
-    def test_one_cpu_runs_the_lanes_in_the_calling_thread(self, monkeypatch):
-        def idents():
-            return _map_lanes(lambda _: threading.get_ident(), "abc")
+    def test_no_more_lanes_than_the_cap_live_at_once(self, monkeypatch):
+        lock, live, most = threading.Lock(), [0], [0]
 
-        assert _on_cpus(monkeypatch, 1, idents) == [threading.get_ident()] * 3
+        def lane(x):
+            with lock:
+                live[0] += 1
+                most[0] = max(most[0], live[0])
+            time.sleep(0.05)
+            with lock:
+                live[0] -= 1
+            return x
+
+        items = list(range(4 * _MAX_LANES))
+        assert _on_cpus(monkeypatch, 26, lambda: _map_lanes(lane, items)) == items
+        assert most[0] == _MAX_LANES
 
     def test_first_failing_lane_in_input_order_raises(self, monkeypatch):
         def lane(x):
