@@ -12,7 +12,6 @@ from .core import (
     DerivedParams,
     LinearizedRFState,
     NeuronState,
-    Phase,
     derive_params,
     lv_invariant,
     lv_transform,

@@ -56,7 +56,9 @@ static inline void rk4(const double *p, double h, double *u, double *v)
  *
  * A step that carries V across v_th from below is bisected on re-integrated
  * partial steps until the bracket is at most tol wide; the runner then
- * returns 1 with tuv at its upper end.  At t_end it returns 0.
+ * returns 1 with tuv[0] at its upper end, the crossing time, and tuv[1],
+ * tuv[2] left at the start of the crossing step: the handshake clamps the
+ * state at the crossing, so nothing steps it there.  At t_end it returns 0.
  */
 int rf_run(const double *prm, const double *seg_end, const double *i_in, const double *extras,
            double *tuv, int64_t *ks, int64_t last, int64_t stride, double dt, double t_end,
@@ -92,7 +94,6 @@ int rf_run(const double *prm, const double *seg_end, const double *i_in, const d
                 else
                     lo = m;
             }
-            rk4(p, hi - t, &u, &v);
             t = hi;
             crossed = 1;
             break;

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CircuitParams, NeuronState, Phase, derive_params
+from .core import CircuitParams, NeuronState, derive_params
 from .errors import UndefinedMetricError
 from .handshake import HandshakeConfig, firing_rate
 from .integrator import IntegratorConfig, Trace, integrate
@@ -395,7 +395,7 @@ def fi_curve(
     else:
         cfg = replace(cfg, t_end=timeout)
     dp = derive_params(p)
-    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
+    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
 
     def level_row(level: float) -> tuple[float, float, float]:
         prog = step(0.0, 0.0, level, v_limit=p.V_DD)
@@ -437,7 +437,7 @@ def tuning_map(
         bias, vth = bias_vth
         p = replace(base, I_IU=bias, I_IV=bias, V_th=vth)
         dp = derive_params(p)
-        s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
+        s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
         _, events = integrate(s0, p, chirp, cfg, protocol)
         row = [0] * len(freqs)
         for e in events:

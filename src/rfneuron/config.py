@@ -16,6 +16,7 @@ and dump the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .handshake import AckMode, HandshakeConfig
 from .integrator import IntegratorConfig
 from .montecarlo import MismatchModel
 from .stimuli import Polarity
-from .experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup
+from .experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup, _require_counts
 
 __all__ = ["ExperimentConfig", "load_config", "dump_effective_config"]
 
@@ -55,10 +56,8 @@ class MonteCarloSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.n_dies < 2:
-            raise ConfigError("montecarlo needs n_dies >= 2")
-        if self.workers < 1:
-            raise ConfigError("montecarlo workers must be >= 1")
+        _require_counts(self, 2, "n_dies")
+        _require_counts(self, 1, "workers")
 
     def ringdown(self, base: RingdownSetup) -> RingdownSetup:
         return dataclasses.replace(base, amplitude=self.amplitude)
@@ -94,15 +93,13 @@ def _build(cls, section: dict, name: str):
         if key not in known:
             raise ConfigError(f"unknown key '{key}' in config section '{name}'")
         if key in _ENUM_FIELDS and isinstance(value, str):
-            try:
+            with contextlib.suppress(ValueError):  # the type rejects an unknown name
                 value = _ENUM_FIELDS[key](value.lower())
-            except ValueError:
-                choices = [m.value for m in _ENUM_FIELDS[key]]
-                raise ConfigError(
-                    f"'{name}.{key}' must be one of {choices}, got {value!r}"
-                )
         if key == "ack_delays" and isinstance(value, list):
-            value = tuple(float(v) for v in value)
+            try:
+                value = tuple(float(v) for v in value)
+            except (ValueError, TypeError):
+                raise ConfigError(f"'{name}.ack_delays' entries must be numbers, got {value!r}")
         if key == "model":
             value = _build(MismatchModel, value, f"{name}.model")
         if key == "integrator":

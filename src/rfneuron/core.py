@@ -22,13 +22,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from enum import Enum
 from numbers import Real
 
 from .errors import ConfigError, require_finite
 
 __all__ = [
-    "Phase",
     "CircuitParams",
     "NeuronState",
     "DerivedParams",
@@ -46,13 +44,6 @@ VOLTAGE_GUARD_MARGIN = 0.2
 
 # Largest argument math.exp takes without raising OverflowError.
 _EXP_ARG_MAX = math.log(sys.float_info.max)
-
-
-class Phase(Enum):
-    """Handshake phase of the neuron FSM."""
-
-    OSCILLATE = "oscillate"
-    CLAMPED = "clamped"
 
 
 @dataclass(frozen=True)
@@ -157,12 +148,11 @@ class CircuitParams:
 
 @dataclass
 class NeuronState:
-    """Instantaneous neuron state: time, node voltages, handshake phase."""
+    """Instantaneous free-running neuron state: time and node voltages."""
 
     t: float
     U: float
     V: float
-    phase: Phase = Phase.OSCILLATE
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.U) and math.isfinite(self.V)):
@@ -275,8 +265,6 @@ def rhs(
     same order at each of its four stages and is tested against this
     function.
     """
-    if s.phase is not Phase.OSCILLATE:
-        raise ValueError("rhs is defined only in the OSCILLATE phase")
     if ref is None:
         ref = derive_params(p)
     a = p.exp_slope
@@ -312,8 +300,6 @@ def lv_invariant(s: NeuronState, p: CircuitParams, I_in: float = 0.0) -> float:
     |H|.  Only the excess H - H(U*, V*) is physical, so measure drift relative
     to it, not to |H|.
     """
-    if s.phase is not Phase.OSCILLATE:
-        raise ValueError("lv_invariant is defined only in the OSCILLATE phase")
     a = p.exp_slope
     I_alpha, I_beta = lv_transform(s, p)
     s_alpha = a / p.C1

@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+from enum import Enum
 
-__all__ = ["ConfigError", "ProtocolError", "UndefinedMetricError", "require_finite"]
+__all__ = [
+    "ConfigError", "ProtocolError", "UndefinedMetricError", "require_finite", "require_member",
+]
 
 
 class ConfigError(ValueError):
@@ -29,3 +32,10 @@ def require_finite(obj) -> None:
         entries = value if isinstance(value, tuple) else (value,)
         if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def require_member(obj, name: str, enum: type[Enum]) -> None:
+    """Reject field ``name`` of ``obj`` unless it is a member of ``enum``."""
+    value = getattr(obj, name)
+    if not isinstance(value, enum):
+        raise ConfigError(f"{name} must be one of {[m.value for m in enum]}, got {value!r}")

@@ -21,8 +21,8 @@ from .analysis import (
     FREQ_CONSISTENCY_TOL,
     _v_metrics,
 )
-from .core import CircuitParams, NeuronState, Phase, derive_params
-from .errors import ConfigError, UndefinedMetricError, require_finite
+from .core import CircuitParams, NeuronState, derive_params
+from .errors import ConfigError, UndefinedMetricError, require_finite, require_member
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import Polarity, StimulusProgram, pulse, spiking_chirp
@@ -76,6 +76,7 @@ class RingdownSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_member(self, "polarity", Polarity)
         if not 0.0 < self.settle_window <= self.horizon:
             raise ConfigError(f"settle_window must lie in (0, horizon={self.horizon!r}], "
                               f"got {self.settle_window!r}")
@@ -117,6 +118,7 @@ class ChirpSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_member(self, "polarity", Polarity)
         _require_counts(self, 1, "n_freqs", "spikes_per_freq", "n_bias", "sample_stride")
         _require_positive(self, "f_start", "bias_min", "bias_max", "vth_min", "vth_max",
                           "vth_anchor_min", "dt")
@@ -254,7 +256,7 @@ def run_ringdown(
     cfg = replace(setup.integrator, t_end=setup.horizon)
     prog = setup.program(v_limit=p.V_DD)
     dp = derive_params(p)
-    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
+    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
     trace, events = integrate(s0, p, prog, cfg, protocol)
     metrics = ringdown_metrics(trace, setup.t0 + setup.width, setup.settle_window)
     return trace, events, metrics
@@ -271,7 +273,7 @@ def run_chirp(
     prog = setup.program(v_limit=p.V_DD)
     cfg = setup.integrator_config(prog)
     dp = derive_params(p)
-    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star, phase=Phase.OSCILLATE)
+    s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
     trace, events = integrate(s0, p, prog, cfg, protocol)
     return trace, events, prog
 

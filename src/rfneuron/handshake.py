@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NeuronState, Phase
-from .errors import ProtocolError, require_finite
+from .errors import ProtocolError, require_finite, require_member
 
 __all__ = [
     "AckMode",
@@ -46,6 +45,7 @@ class HandshakeConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_member(self, "mode", AckMode)
         if self.T_spk <= 0.0:
             raise ValueError(f"T_spk must be positive, got {self.T_spk!r}")
         if any(d < 0.0 for d in self.ack_delays):
@@ -77,23 +77,22 @@ class SpikeEvent:
 
 
 class HandshakeFSM:
-    """Owns the clamp/release cycle of a single integration run.
+    """Owns the request/release cycle of a single integration run.
 
     Accepts exactly the call sequence (on_threshold -> release)*; anything
     else raises :class:`ProtocolError`.  Events are appended in order and
-    never overlap: event i+1 cannot assert before event i released.
+    never overlap: event i+1 cannot assert before event i released.  The
+    clamp itself, (V_reset, V_th) until ``t_release``, is the caller's.
     """
 
-    def __init__(self, cfg: HandshakeConfig, V_reset: float, V_th: float):
+    def __init__(self, cfg: HandshakeConfig):
         self.cfg = cfg
-        self.V_reset = V_reset
-        self.V_th = V_th
         self.events: list[SpikeEvent] = []
         self._pending: SpikeEvent | None = None
 
-    def on_threshold(self, t_cross: float, s: NeuronState) -> tuple[NeuronState, SpikeEvent]:
-        """Assert the request: clamp the state and schedule the release."""
-        if s.phase is not Phase.OSCILLATE or self._pending is not None:
+    def on_threshold(self, t_cross: float) -> SpikeEvent:
+        """Assert the request at ``t_cross`` and schedule its release."""
+        if self._pending is not None:
             raise ProtocolError("threshold event while a handshake is already in flight")
         if self.events and t_cross < self.events[-1].t_release:
             raise ProtocolError("threshold event inside the previous handshake interval")
@@ -105,21 +104,15 @@ class HandshakeFSM:
         )
         self.events.append(event)
         self._pending = event
-        clamped = NeuronState(t=t_cross, U=self.V_reset, V=self.V_th, phase=Phase.CLAMPED)
-        return clamped, event
+        return event
 
-    def release(self, s: NeuronState, e: SpikeEvent) -> NeuronState:
-        """De-assert: resume free dynamics from (V_reset, V_th) at t_release."""
-        if s.phase is not Phase.CLAMPED or self._pending is None:
+    def release(self, e: SpikeEvent) -> None:
+        """De-assert the pending request ``e``; free dynamics resume at ``e.t_release``."""
+        if self._pending is None:
             raise ProtocolError("release without a pending handshake")
-        if e is not self._pending and e != self._pending:
+        if e != self._pending:
             raise ProtocolError("release for a different event than the pending one")
-        if s.t < e.t_release:
-            raise ProtocolError(
-                f"release at t={s.t!r} before scheduled t_release={e.t_release!r}"
-            )
         self._pending = None
-        return NeuronState(t=e.t_release, U=self.V_reset, V=self.V_th, phase=Phase.OSCILLATE)
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,20 @@ The RK4 step is written once, in C (``_rk4.c``), with ``core.rhs``'s
 arithmetic in its operation order; ``core.rhs`` is its readable oracle.  The
 C file exports one entry, a span runner, which owns the stop schedule of a
 free-running span: it takes every stop, switches the drive segment, samples
-into the trace's column buffers, and bisects the first threshold crossing.
-``integrate()`` keeps what happens between spans: the handshake at each
-crossing, the hold, the release, ``max_events`` and the size of the row
-buffer.
+into the trace's column buffers, and bisects the first threshold crossing,
+returning its time.  ``integrate()`` keeps what happens between spans: the
+handshake at each crossing, the hold, the release, ``max_events`` and the
+size of the row buffer.
 
 The stops are computed, not stored: grid stop k is ``k * dt``, the last
 stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
 from the grid is an extra stop, so no RK4 substep straddles a drive
 discontinuity and each keeps its full order.  Threshold crossings are
 bracketed inside a substep and refined by bisection on re-integrated partial
-steps.  The handshake hold is resolved at the crossing: the state stays
-clamped on the grid until the FSM's release, or to ``t_end`` if the release
-lies beyond it, and integration then resumes mid-grid.
+steps.  The handshake FSM turns each crossing time into an event with its
+release time.  The state stays clamped at (V_reset, V_th) on the grid until
+that release, or to ``t_end`` if the release lies beyond it, and integration
+then resumes mid-grid from (t_release, V_reset, V_th).
 
 Traces hold every ``sample_stride``-th grid stop and ``t_end``, plus samples
 at clamp entry and release that delimit each clamp window exactly.
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CircuitParams, DerivedParams, NeuronState, Phase, derive_params
+from .core import CircuitParams, DerivedParams, NeuronState, derive_params
 from .errors import ConfigError, require_finite
 from .handshake import HandshakeConfig, HandshakeFSM, SpikeEvent
 from .stimuli import StimulusProgram, synapse_current
@@ -257,17 +258,17 @@ def integrate(
 ) -> tuple[Trace, list[SpikeEvent]]:
     """Integrate the neuron from ``s0`` to ``t_end`` and collect output spike events.
 
-    ``s0`` must be free-running (``Phase.OSCILLATE``) at a time in
-    [0, t_end) with U and V inside the guard window
-    [``v_min_guard``, ``v_max_guard``], and ``max_events``, when given, at
-    least 1: the run then ends at the crossing of that event.  The damping
+    ``s0`` is a free-running state at a time in [0, t_end) with U and V
+    inside the guard window [``v_min_guard``, ``v_max_guard``].  Each
+    threshold crossing is an event: the state is held at (V_reset, V_th)
+    until the event's release and then runs free again.  ``max_events``,
+    when given, must be at least 1: the run then ends at the crossing of
+    that event.  The damping
     reference is the equilibrium with the program's constant input folded in
     when the program is a single constant segment; transient programs
     reference the zero-input equilibrium.
     """
     vmin, vmax = p.v_min_guard, p.v_max_guard
-    if s0.phase is not Phase.OSCILLATE:
-        raise ValueError("integrate() needs a free-running start state, not a clamped one")
     if not 0.0 <= s0.t < cfg.t_end:
         raise ValueError(f"start time {s0.t!r} outside [0, t_end={cfg.t_end!r})")
     if not (vmin <= s0.U <= vmax and vmin <= s0.V <= vmax):
@@ -320,7 +321,7 @@ def integrate(
     )
     table_ptrs = [a.ctypes.data for a in tables]  # `tables` keeps the memory alive
 
-    fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
+    fsm = HandshakeFSM(protocol)
     V_reset, V_th = p.V_reset, p.V_th
     t, u, v = s0.t, s0.U, s0.V
     s = prog.segment_index(t)
@@ -338,8 +339,8 @@ def integrate(
         if not crossed:
             break
 
-        clamped, event = fsm.on_threshold(t, NeuronState(t=t, U=u, V=v))
-        rows.add(t, clamped.U, clamped.V, 0.0, clamped=True)
+        event = fsm.on_threshold(t)
+        rows.add(t, V_reset, V_th, 0.0, clamped=True)
         if max_events is not None and len(fsm.events) >= max_events:
             break
         k, e = after(t)
@@ -355,8 +356,8 @@ def integrate(
         if t_rel >= t_end:
             rows.add(t_end, V_reset, V_th, 0.0, clamped=True)
             break
-        released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
-        t, u, v = released.t, released.U, released.V
+        fsm.release(event)
+        t, u, v = t_rel, V_reset, V_th
         s = prog.segment_index(t)
         rows.add(t, u, v, currents[s])
         k, e = after(t)

@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import MetricsRecord
 from .core import CircuitParams, derive_params
 from .errors import ConfigError, require_finite
-from .experiments import RingdownSetup, run_ringdown
+from .experiments import RingdownSetup, _require_counts, run_ringdown
 from .handshake import HandshakeConfig
 
 __all__ = [
@@ -62,6 +62,7 @@ class MismatchModel:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        _require_counts(self, 0, "seed")
         for name in ("sigma_ln_In0_alpha", "sigma_ln_In0_beta", "sigma_C",
                      "sigma_I_bias", "sigma_ln_g_damp"):
             if getattr(self, name) < 0.0:

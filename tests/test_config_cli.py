@@ -122,6 +122,28 @@ MALFORMED_YAML = [
 ]
 
 
+# each reaches a type's constructor or the ack_delays conversion, never the simulator
+ILL_TYPED_VALUES = [
+    pytest.param("handshake: {mode: 3}", r"'handshake': mode must be one of", id="mode"),
+    pytest.param("handshake: {mode: foo}", r"'handshake': mode must be one of", id="mode-name"),
+    pytest.param("ringdown: {polarity: 3}", r"'ringdown': polarity must be one of",
+                 id="ringdown.polarity"),
+    pytest.param("chirp: {polarity: 1}", r"'chirp': polarity must be one of", id="chirp.polarity"),
+    pytest.param("handshake: {ack_delays: [a]}", r"'handshake.ack_delays' entries must be numbers",
+                 id="ack_delays-string"),
+    pytest.param("handshake: {ack_delays: [null]}",
+                 r"'handshake.ack_delays' entries must be numbers", id="ack_delays-null"),
+    pytest.param("montecarlo: {n_dies: 2.5}", r"n_dies must be an integer >= 2, got 2.5",
+                 id="n_dies"),
+    pytest.param("montecarlo: {workers: 1.5}", r"workers must be an integer >= 1, got 1.5",
+                 id="workers"),
+    pytest.param("montecarlo: {model: {seed: 1.5}}", r"seed must be an integer >= 0, got 1.5",
+                 id="seed-fraction"),
+    pytest.param("montecarlo: {model: {seed: -1}}", r"seed must be an integer >= 0, got -1",
+                 id="seed-negative"),
+]
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config()
@@ -199,6 +221,25 @@ class TestLoadConfig:
         path.write_bytes(b"chirp: {polarity: \xc3\x28}\n")
         with pytest.raises(ConfigError, match="malformed YAML"):
             load_config(path)
+
+    @pytest.mark.parametrize("doc, fault", ILL_TYPED_VALUES)
+    def test_ill_typed_values_rejected(self, doc, fault, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(doc + "\n")
+        with pytest.raises(ConfigError, match=fault):
+            load_config(path)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: RingdownSetup(polarity="inh"), id="RingdownSetup"),
+        pytest.param(lambda: ChirpSetup(polarity=1), id="ChirpSetup"),
+    ])
+    def test_polarity_must_be_a_polarity(self, build):
+        with pytest.raises(ConfigError, match=r"polarity must be one of \['exc', 'inh'\]"):
+            build()
+
+    def test_negative_seed_override_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+            load_config(None, overrides={"montecarlo.model.seed": -1})
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -526,6 +567,25 @@ class TestCli:
         assert seen[0][0] == 1
         assert seen[0][1].startswith(
             "protocol error: scripted acknowledge list exhausted at event 2")
+
+    @pytest.mark.parametrize("command, doc, argv", [
+        pytest.param("fi", "handshake: {mode: 3}", [], id="mode"),
+        pytest.param("ringdown", "ringdown: {polarity: 3}", [], id="ringdown.polarity"),
+        pytest.param("chirp", "chirp: {polarity: 1}", ["--full-map"], id="chirp.polarity"),
+        pytest.param("fi", "handshake: {ack_delays: [null]}", [], id="ack_delays"),
+        pytest.param("montecarlo", "montecarlo: {n_dies: 2.5}", [], id="n_dies"),
+        pytest.param("montecarlo", "", ["--seed", "-1"], id="seed"),
+    ])
+    def test_ill_typed_values_exit_code(self, command, doc, argv, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(doc + "\n")
+        outdir = tmp_path / "o"
+        rc = main([command, "--config", str(path), "--outdir", str(outdir), *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not (outdir / "effective_config.yaml").exists()
 
     def test_seed_override_changes_population(self, fast_config, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))

@@ -17,7 +17,6 @@ from rfneuron import (
     DerivedParams,
     LinearizedRFState,
     NeuronState,
-    Phase,
     derive_params,
     linearized_solution,
     lv_invariant,
@@ -130,12 +129,6 @@ class TestRhs:
         dU, dV = rhs(s, p, 0.0)
         assert dU < 0.0
         assert dV == pytest.approx(0.0, abs=1e-8)
-
-    def test_requires_oscillate_phase(self):
-        p = params()
-        s = NeuronState(t=0.0, U=0.75, V=0.85, phase=Phase.CLAMPED)
-        with pytest.raises(ValueError):
-            rhs(s, p, 0.0)
 
     def test_guard_saturates_exponential(self):
         p = params()

@@ -6,11 +6,9 @@ import pytest
 
 from rfneuron import (
     AckMode,
-    CircuitParams,
+    ConfigError,
     FiringRate,
     HandshakeConfig,
-    NeuronState,
-    Phase,
     ProtocolError,
     SpikeEvent,
     firing_rate,
@@ -20,84 +18,81 @@ from rfneuron.handshake import HandshakeFSM
 
 
 def make_fsm(cfg=None):
-    p = CircuitParams()
-    if cfg is None:
-        cfg = HandshakeConfig(T_spk=100e-6)
-    return HandshakeFSM(cfg, V_reset=p.V_reset, V_th=p.V_th)
-
-
-def oscillating(t, U=0.74, V=0.8501):
-    return NeuronState(t=t, U=U, V=V, phase=Phase.OSCILLATE)
+    return HandshakeFSM(HandshakeConfig(T_spk=100e-6) if cfg is None else cfg)
 
 
 class TestOnThreshold:
     def test_self_ack_schedule(self):
         fsm = make_fsm(HandshakeConfig(T_spk=100e-6))
-        clamped, event = fsm.on_threshold(10e-3, oscillating(10e-3))
-        assert event.t_req == 10e-3
+        event = fsm.on_threshold(10e-3)
+        assert (event.index, event.t_req) == (0, 10e-3)
         assert event.t_release == pytest.approx(10.1e-3)
-        assert clamped.phase is Phase.CLAMPED
-        assert clamped.U == 0.750 and clamped.V == 0.850  # operating-table values
+        assert fsm.events == [event]
 
     def test_scripted_ack_adds_latency(self):
         cfg = HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=100e-6,
                               ack_delays=(1e-3,))
         fsm = make_fsm(cfg)
-        _, event = fsm.on_threshold(5e-3, oscillating(5e-3))
+        event = fsm.on_threshold(5e-3)
         assert event.t_release == pytest.approx(5e-3 + 1e-3 + 100e-6)
 
     def test_scripted_ack_exhaustion_is_protocol_error(self):
         cfg = HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=100e-6,
                               ack_delays=(1e-3,))
         fsm = make_fsm(cfg)
-        clamped, e = fsm.on_threshold(5e-3, oscillating(5e-3))
-        fsm.release(NeuronState(t=e.t_release, U=0.75, V=0.85, phase=Phase.CLAMPED), e)
-        with pytest.raises(ProtocolError):
-            fsm.on_threshold(20e-3, oscillating(20e-3))
+        fsm.release(fsm.on_threshold(5e-3))
+        with pytest.raises(ProtocolError, match="exhausted"):
+            fsm.on_threshold(20e-3)
 
     def test_threshold_during_handshake_rejected(self):
         fsm = make_fsm()
-        fsm.on_threshold(1e-3, oscillating(1e-3))
-        with pytest.raises(ProtocolError):
-            fsm.on_threshold(1.05e-3, oscillating(1.05e-3))
+        fsm.on_threshold(1e-3)
+        with pytest.raises(ProtocolError, match="in flight"):
+            fsm.on_threshold(1.05e-3)
+
+    def test_threshold_before_the_previous_release_rejected(self):
+        fsm = make_fsm()
+        e = fsm.on_threshold(1e-3)
+        fsm.release(e)
+        with pytest.raises(ProtocolError, match="previous handshake interval"):
+            fsm.on_threshold(e.t_release - 1e-6)
+        assert fsm.events == [e]
 
 
 class TestRelease:
     def test_release_restores_oscillation(self):
+        # after the release the next request may assert, from t_release on
         fsm = make_fsm()
-        clamped, e = fsm.on_threshold(1e-3, oscillating(1e-3))
-        out = fsm.release(
-            NeuronState(t=e.t_release, U=clamped.U, V=clamped.V, phase=Phase.CLAMPED), e
-        )
-        assert out.phase is Phase.OSCILLATE
-        assert (out.U, out.V) == (0.750, 0.850)
-        assert out.t == e.t_release
+        e = fsm.on_threshold(1e-3)
+        assert fsm.release(e) is None
+        nxt = fsm.on_threshold(e.t_release)
+        assert (nxt.index, nxt.t_req) == (1, e.t_release)
 
-    def test_early_release_is_protocol_error(self):
-        fsm = make_fsm()
-        clamped, e = fsm.on_threshold(1e-3, oscillating(1e-3))
-        early = NeuronState(t=e.t_release - 1e-6, U=clamped.U, V=clamped.V,
-                            phase=Phase.CLAMPED)
-        with pytest.raises(ProtocolError):
-            fsm.release(early, e)
+    def test_release_without_request_is_protocol_error(self):
+        with pytest.raises(ProtocolError, match="without a pending"):
+            make_fsm().release(SpikeEvent(0, 1e-3, 1.1e-3))
 
     def test_double_release_is_protocol_error(self):
         fsm = make_fsm()
-        clamped, e = fsm.on_threshold(1e-3, oscillating(1e-3))
-        s = NeuronState(t=e.t_release, U=clamped.U, V=clamped.V, phase=Phase.CLAMPED)
-        fsm.release(s, e)
-        with pytest.raises(ProtocolError):
-            fsm.release(s, e)
+        e = fsm.on_threshold(1e-3)
+        fsm.release(e)
+        with pytest.raises(ProtocolError, match="without a pending"):
+            fsm.release(e)
+
+    def test_release_of_another_event_is_protocol_error(self):
+        fsm = make_fsm()
+        e = fsm.on_threshold(1e-3)
+        with pytest.raises(ProtocolError, match="different event"):
+            fsm.release(SpikeEvent(e.index, e.t_req, e.t_release + 1e-6))
+        fsm.release(e)  # the pending event is still the one to release
 
     def test_event_list_stays_ordered_and_disjoint(self):
         fsm = make_fsm()
         t = 0.0
         for _ in range(5):
             t += 3e-3
-            clamped, e = fsm.on_threshold(t, oscillating(t))
-            fsm.release(
-                NeuronState(t=e.t_release, U=clamped.U, V=clamped.V,
-                            phase=Phase.CLAMPED), e)
+            e = fsm.on_threshold(t)
+            fsm.release(e)
             t = e.t_release
         events = fsm.events
         assert [e.index for e in events] == list(range(5))
@@ -145,3 +140,8 @@ class TestConfigValidation:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             HandshakeConfig(mode=AckMode.SCRIPTED_ACK, ack_delays=(-1e-3,))
+
+    @pytest.mark.parametrize("mode", [3, "self_ack", None])
+    def test_mode_must_be_an_ack_mode(self, mode):
+        with pytest.raises(ConfigError, match=r"mode must be one of \['self_ack', 'scripted_ack'\]"):
+            HandshakeConfig(mode=mode)

@@ -21,7 +21,6 @@ from rfneuron import (
     HandshakeConfig,
     IntegratorConfig,
     NeuronState,
-    Phase,
     ProtocolError,
     StimulusProgram,
     Trace,
@@ -231,6 +230,13 @@ class TestKernelLoader:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert _load_kernel(source)._name == first._name
 
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not on PATH")
+    def test_source_compiles_as_strict_c99_without_warnings(self):
+        cmd = ["gcc", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-pedantic",
+               "-std=c99", "-fsyntax-only", str(_KERNEL_SOURCE)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
 
 class TestRefineCrossing:
     def test_refined_time_is_bracketed_and_accurate(self):
@@ -429,12 +435,6 @@ class TestIntegrate:
         with pytest.raises(ProtocolError):
             integrate(equilibrium_state(p), p, prog, cfg, protocol)
 
-    def test_clamped_start_rejected(self):
-        p = CircuitParams()
-        s0 = dataclasses.replace(equilibrium_state(p), phase=Phase.CLAMPED)
-        with pytest.raises(ValueError, match="free-running"):
-            integrate(s0, p, zero_program(), IntegratorConfig(t_end=5e-3))
-
     @pytest.mark.parametrize("t0", [-1e-3, 5e-3, 0.01])
     def test_start_outside_horizon_rejected(self, t0):
         p = CircuitParams()
@@ -507,7 +507,7 @@ def reference_integrate(s0, p, prog, cfg, protocol=None, max_events=None):
         i_in = synapse_current(seg.V_exc, seg.V_inh, p)
         return seg.t_start, seg.t_end, i_in, kernel_step(p, ref, i_in)
 
-    fsm = HandshakeFSM(protocol, V_reset=p.V_reset, V_th=p.V_th)
+    fsm = HandshakeFSM(protocol)
     V_reset, V_th = p.V_reset, p.V_th
     t, u, v = s0.t, s0.U, s0.V
     seg_lo, seg_hi, I_in, step_fn = drive(t)
@@ -539,9 +539,8 @@ def reference_integrate(s0, p, prog, cfg, protocol=None, max_events=None):
                 hi = m
             else:
                 lo = m
-        u_c, v_c = step_fn(u, v, hi - t)
-        clamped, event = fsm.on_threshold(hi, NeuronState(t=hi, U=u_c, V=v_c))
-        rows.append((hi, clamped.U, clamped.V, 0.0, True))
+        event = fsm.on_threshold(hi)
+        rows.append((hi, V_reset, V_th, 0.0, True))
         if max_events is not None and len(fsm.events) >= max_events:
             break
         k, e = after(hi)
@@ -556,8 +555,8 @@ def reference_integrate(s0, p, prog, cfg, protocol=None, max_events=None):
         if t_rel >= t_end:
             rows.append((t_end, V_reset, V_th, 0.0, True))
             break
-        released = fsm.release(NeuronState(t=t_rel, U=V_reset, V=V_th, phase=Phase.CLAMPED), event)
-        t, u, v = released.t, released.U, released.V
+        fsm.release(event)
+        t, u, v = t_rel, V_reset, V_th
         seg_lo, seg_hi, I_in, step_fn = drive(t)
         rows.append((t, u, v, I_in, False))
         k, e = after(t)
