@@ -1,11 +1,17 @@
 """Experiment configuration: YAML sections mapped onto the module types.
 
-A config file holds named sections (neuron, integrator, handshake,
-ringdown, fi, chirp, sweep, montecarlo); every key is optional and
-defaults to the calibrated values, so an empty section stands for all of
-its defaults.  All sections are validated by the target types' own
-invariants before any simulation starts, and every run writes the
-fully-defaulted effective configuration next to its outputs.
+A config file holds one section per field of :class:`ExperimentConfig`
+(neuron, integrator, handshake, ringdown, fi, chirp, sweep, montecarlo);
+every key is optional and defaults to the calibrated values, so an empty
+section stands for all of its defaults.  Each field's default says how its
+YAML value is read: an enum takes a member's name in any case, a tuple a
+list of numbers, and a nested dataclass a mapping (``ringdown.integrator``,
+``montecarlo.model``).  No field is boolean, so a YAML ``true`` or
+``false`` is rejected.  Two settings are inherited: the handshake's
+``T_spk`` defaults to the neuron's, and ``ringdown.integrator`` overrides
+the top-level ``integrator`` field by field.  All sections are validated by
+the target types' own invariants before any simulation starts, and every
+run writes the fully-defaulted effective configuration next to its outputs.
 
 YAML is parsed and emitted by libyaml (PyYAML's ``CSafeLoader`` and
 ``CSafeDumper``) when PyYAML was built with it, and by the pure-Python
@@ -20,17 +26,17 @@ import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import yaml
 
 from .core import CircuitParams
-from .errors import ConfigError, require_finite
-from .handshake import AckMode, HandshakeConfig
+from .errors import ConfigError
+from .handshake import HandshakeConfig
 from .integrator import IntegratorConfig
-from .montecarlo import MismatchModel
-from .stimuli import Polarity
-from .experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup, _require_counts
+from .montecarlo import MonteCarloSetup
+from .experiments import ChirpSetup, FISetup, RingdownSetup, SweepSetup
 
 __all__ = ["ExperimentConfig", "load_config", "dump_effective_config"]
 
@@ -39,33 +45,8 @@ _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
-class MonteCarloSetup:
-    """Population size, mismatch model and the per-die ringdown protocol.
-
-    The per-die ringdown uses a gentler 0.4 V pulse than the standard
-    characterization so that dies at the small-margin tail of the spread
-    still ring below threshold and yield well-defined metrics.  ``workers``
-    caps the process pool, which never exceeds ``n_dies`` or the CPU count;
-    the outputs do not depend on it.
-    """
-
-    n_dies: int = 100
-    model: MismatchModel = MismatchModel()
-    amplitude: float = 0.4
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        _require_counts(self, 2, "n_dies")
-        _require_counts(self, 1, "workers")
-
-    def ringdown(self, base: RingdownSetup) -> RingdownSetup:
-        return dataclasses.replace(base, amplitude=self.amplitude)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated bundle of every experiment's settings."""
+    """Validated bundle of every experiment's settings, one field per config section."""
 
     neuron: CircuitParams = CircuitParams()
     integrator: IntegratorConfig = IntegratorConfig()
@@ -77,33 +58,38 @@ class ExperimentConfig:
     montecarlo: MonteCarloSetup = MonteCarloSetup()
 
 
-_ENUM_FIELDS = {
-    "polarity": Polarity,
-    "mode": AckMode,
-}
+def _build(cls, section: dict, name: str | None):
+    """Instantiate config dataclass ``cls`` from the YAML mapping ``section``.
 
-
-def _build(cls, section: dict, name: str):
-    """Instantiate a config dataclass from one YAML section."""
+    ``name`` is the section's dotted path, and None for the whole config.
+    Fields are read in the order ``cls`` declares them, each by the kind of
+    its default.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"config section '{name}' must be a mapping")
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key in section:
+        if key not in defaults:
+            raise ConfigError(f"unknown config section '{key}'" if name is None
+                              else f"unknown key '{key}' in config section '{name}'")
     kwargs = {}
-    for key, value in section.items():
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}' in config section '{name}'")
-        if key in _ENUM_FIELDS and isinstance(value, str):
+    for key, default in defaults.items():
+        if key not in section:
+            continue
+        value, where = section[key], key if name is None else f"{name}.{key}"
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), value, where)
+        elif isinstance(value, bool) or isinstance(value, list) and any(
+                isinstance(v, bool) for v in value):
+            raise ConfigError(f"'{where}' takes no boolean, got {value!r}")
+        elif isinstance(default, Enum) and isinstance(value, str):
             with contextlib.suppress(ValueError):  # the type rejects an unknown name
-                value = _ENUM_FIELDS[key](value.lower())
-        if key == "ack_delays" and isinstance(value, list):
+                value = type(default)(value.lower())
+        elif isinstance(default, tuple) and isinstance(value, list):
             try:
                 value = tuple(float(v) for v in value)
             except (ValueError, TypeError):
-                raise ConfigError(f"'{name}.ack_delays' entries must be numbers, got {value!r}")
-        if key == "model":
-            value = _build(MismatchModel, value, f"{name}.model")
-        if key == "integrator":
-            value = _build(IntegratorConfig, value, f"{name}.integrator")
+                raise ConfigError(f"'{where}' entries must be numbers, got {value!r}") from None
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -132,10 +118,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"config root must be a mapping: {path}")
         # an empty section (`ringdown:` with no keys) loads as None
         raw = {key: {} if value is None else value for key, value in loaded.items()}
-    sections = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key in raw:
-        if key not in sections:
-            raise ConfigError(f"unknown config section '{key}'")
     if overrides:
         for dotted, value in overrides.items():
             parts = dotted.split(".")
@@ -146,27 +128,16 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
                     raise ConfigError(f"cannot override '{dotted}'")
             node[parts[-1]] = value
 
-    neuron = _build(CircuitParams, raw.get("neuron", {}), "neuron")
-    integ = _build(IntegratorConfig, raw.get("integrator", {}), "integrator")
-    hs_section = dict(raw.get("handshake", {}))
-    hs_section.setdefault("T_spk", neuron.T_spk)
-    handshake = _build(HandshakeConfig, hs_section, "handshake")
-
-    # ringdown.integrator keys override the top-level integrator field by field
-    rd_section = dict(raw.get("ringdown", {}))
-    rd_integ = rd_section.get("integrator", {})
-    if isinstance(rd_integ, dict):
-        rd_section["integrator"] = {**dataclasses.asdict(integ), **rd_integ}
-    ringdown = _build(RingdownSetup, rd_section, "ringdown")
-
-    fi = _build(FISetup, raw.get("fi", {}), "fi")
-    chirp = _build(ChirpSetup, raw.get("chirp", {}), "chirp")
-    sweep = _build(SweepSetup, raw.get("sweep", {}), "sweep")
-    mc = _build(MonteCarloSetup, raw.get("montecarlo", {}), "montecarlo")
-    return ExperimentConfig(
-        neuron=neuron, integrator=integ, handshake=handshake,
-        ringdown=ringdown, fi=fi, chirp=chirp, sweep=sweep, montecarlo=mc,
-    )
+    # the inherited settings; a section that is not a mapping is left to _build to reject
+    neuron, handshake = raw.get("neuron", {}), raw.get("handshake", {})
+    if isinstance(neuron, dict) and isinstance(handshake, dict):
+        raw["handshake"] = {"T_spk": neuron.get("T_spk", CircuitParams.T_spk), **handshake}
+    integ, ringdown = raw.get("integrator", {}), raw.get("ringdown", {})
+    if isinstance(integ, dict) and isinstance(ringdown, dict):
+        rd_integ = ringdown.get("integrator", {})
+        if isinstance(rd_integ, dict):
+            raw["ringdown"] = {**ringdown, "integrator": {**integ, **rd_integ}}
+    return _build(ExperimentConfig, raw, None)
 
 
 def _yaml_fault(exc: yaml.YAMLError) -> str:
@@ -180,7 +151,7 @@ def _yaml_fault(exc: yaml.YAMLError) -> str:
 def _plain(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (Polarity, AckMode)):
+    if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, tuple):
         return [_plain(v) for v in obj]

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, fields
 from numbers import Real
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require_finite, require_positive
 
 __all__ = [
     "CircuitParams",
@@ -92,15 +92,8 @@ class CircuitParams:
             if isinstance(value, Real):
                 object.__setattr__(self, f.name, float(value))
         require_finite(self)
-        positive = {
-            "C1": self.C1, "C2": self.C2, "I_n0": self.I_n0,
-            "U_T": self.U_T, "I_IU": self.I_IU, "I_IV": self.I_IV,
-            "I_s0_exc": self.I_s0_exc, "I_s0_inh": self.I_s0_inh,
-            "T_spk": self.T_spk,
-        }
-        for name, value in positive.items():
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be strictly positive, got {value!r}")
+        require_positive(self, "C1", "C2", "I_n0", "U_T", "I_IU", "I_IV", "I_s0_exc", "I_s0_inh",
+                         "T_spk")
         for name in ("I_n0_alpha", "I_n0_beta"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:

@@ -1,11 +1,13 @@
-"""Shared exception types and the finiteness check every parameter type applies."""
+"""Shared exception types and the field checks every parameter type applies."""
 
 import dataclasses
 import math
+import numbers
 from enum import Enum
 
 __all__ = [
-    "ConfigError", "ProtocolError", "UndefinedMetricError", "require_finite", "require_member",
+    "ConfigError", "ProtocolError", "UndefinedMetricError",
+    "require_finite", "require_member", "require_positive", "require_count",
 ]
 
 
@@ -39,3 +41,23 @@ def require_member(obj, name: str, enum: type[Enum]) -> None:
     value = getattr(obj, name)
     if not isinstance(value, enum):
         raise ConfigError(f"{name} must be one of {[m.value for m in enum]}, got {value!r}")
+
+
+def require_positive(obj, *names: str) -> None:
+    """Reject each named field of ``obj`` unless it is above zero."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value > 0.0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
+def require_count(obj, minimum: int, *names: str) -> None:
+    """Reject each named field of ``obj`` unless it is an integer of at least ``minimum``.
+
+    A ``bool`` is a ``numbers.Integral`` too, but never a count: it is what
+    YAML makes of ``true``/``false``.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

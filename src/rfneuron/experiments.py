@@ -9,7 +9,6 @@ the nominal resonance so every operating point is resolved equally well.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +21,10 @@ from .analysis import (
     _v_metrics,
 )
 from .core import CircuitParams, NeuronState, derive_params
-from .errors import ConfigError, UndefinedMetricError, require_finite, require_member
+from .errors import (
+    ConfigError, UndefinedMetricError, require_count, require_finite, require_member,
+    require_positive,
+)
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import Polarity, StimulusProgram, pulse, spiking_chirp
@@ -45,21 +47,6 @@ SWEEP_STEPS_PER_PERIOD = 450.0
 
 # Periods of ringdown simulated by sweep runners (0.3 s at 150 pA).
 SWEEP_PERIODS = 66.5
-
-
-def _require_positive(setup, *names: str) -> None:
-    """Raise ConfigError unless each named field of ``setup`` is above zero."""
-    for name in names:
-        if not getattr(setup, name) > 0.0:
-            raise ConfigError(f"{name} must be positive, got {getattr(setup, name)!r}")
-
-
-def _require_counts(setup, minimum: int, *names: str) -> None:
-    """Raise ConfigError unless each named field is an integer of at least ``minimum``."""
-    for name in names:
-        value = getattr(setup, name)
-        if not (isinstance(value, numbers.Integral) and value >= minimum):
-            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +106,9 @@ class ChirpSetup:
     def __post_init__(self) -> None:
         require_finite(self)
         require_member(self, "polarity", Polarity)
-        _require_counts(self, 1, "n_freqs", "spikes_per_freq", "n_bias", "sample_stride")
-        _require_positive(self, "f_start", "bias_min", "bias_max", "vth_min", "vth_max",
-                          "vth_anchor_min", "dt")
+        require_count(self, 1, "n_freqs", "spikes_per_freq", "n_bias", "sample_stride")
+        require_positive(self, "f_start", "bias_min", "bias_max", "vth_min", "vth_max",
+                         "vth_anchor_min", "dt")
         if not self.vth_anchor_min < self.vth_anchor_max:
             raise ConfigError(
                 f"vth_anchor_min={self.vth_anchor_min!r} must be below "
@@ -141,7 +128,7 @@ class ChirpSetup:
         )
 
     def bias_levels(self) -> list[float]:
-        return list(np.geomspace(self.bias_min, self.bias_max, self.n_bias))
+        return np.geomspace(self.bias_min, self.bias_max, self.n_bias).tolist()
 
     def vth_for_bias(self, bias: float) -> float:
         """Threshold rising exponentially with bias across the anchor range."""
@@ -171,11 +158,11 @@ class SweepSetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        _require_counts(self, 1, "n_points")
-        _require_positive(self, "I_min", "I_max")
+        require_count(self, 1, "n_points")
+        require_positive(self, "I_min", "I_max")
 
     def levels(self) -> list[float]:
-        return list(np.geomspace(self.I_min, self.I_max, self.n_points))
+        return np.geomspace(self.I_min, self.I_max, self.n_points).tolist()
 
 
 @dataclass(frozen=True)
@@ -191,9 +178,9 @@ class FISetup:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        _require_counts(self, 1, "n_levels")
-        _require_counts(self, 2, "spikes_per_point")  # a rate needs one inter-spike interval
-        _require_positive(self, "timeout")
+        require_count(self, 1, "n_levels")
+        require_count(self, 2, "spikes_per_point")  # a rate needs one inter-spike interval
+        require_positive(self, "timeout")
         if self.n_levels > 1 and not self.level_min < self.level_max:
             raise ConfigError(
                 f"fi levels must increase: level_min={self.level_min!r} "
@@ -201,7 +188,7 @@ class FISetup:
             )
 
     def levels(self) -> list[float]:
-        return list(np.linspace(self.level_min, self.level_max, self.n_levels))
+        return np.linspace(self.level_min, self.level_max, self.n_levels).tolist()
 
 
 def ringdown_metrics(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, require_finite, require_member
+from .errors import ProtocolError, require_finite, require_member, require_positive
 
 __all__ = [
     "AckMode",
@@ -44,10 +44,12 @@ class HandshakeConfig:
     ack_delays: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # a list would escape require_finite, which looks inside tuples, and leave the config
+        # unhashable
+        object.__setattr__(self, "ack_delays", tuple(self.ack_delays))
         require_finite(self)
         require_member(self, "mode", AckMode)
-        if self.T_spk <= 0.0:
-            raise ValueError(f"T_spk must be positive, got {self.T_spk!r}")
+        require_positive(self, "T_spk")
         if any(d < 0.0 for d in self.ack_delays):
             raise ValueError("acknowledge delays must be non-negative")
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import os
 import tempfile
 import zlib
@@ -46,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CircuitParams, DerivedParams, NeuronState, derive_params
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require_count, require_finite, require_positive
 from .handshake import HandshakeConfig, HandshakeFSM, SpikeEvent
 from .stimuli import StimulusProgram, synapse_current
 
@@ -155,16 +154,12 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.t_end <= 0.0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end!r}")
+        require_positive(self, "dt", "t_end")
         if not 0.0 < self.crossing_tol <= self.dt:
             raise ConfigError(
                 f"crossing_tol must lie in (0, dt={self.dt!r}], got {self.crossing_tol!r}"
             )
-        if not (isinstance(self.sample_stride, numbers.Integral) and self.sample_stride >= 1):
-            raise ConfigError(f"sample_stride must be a positive integer, got {self.sample_stride!r}")
+        require_count(self, 1, "sample_stride")
 
     def validate_against(self, f_nominal: float) -> None:
         """Enforce dt <= 1/(50 f_res) so one period spans >= 50 steps."""

@@ -111,12 +111,8 @@ class StimulusProgram:
         """Index of the segment whose half-open interval [t_start, t_end) contains ``t``."""
         return max(bisect.bisect_right(self._starts, t) - 1, 0)
 
-    def segment_at(self, t: float) -> Segment:
-        """Segment whose half-open interval [t_start, t_end) contains ``t``."""
-        return self._segments[self.segment_index(t)]
-
     def drives_at(self, t: float) -> tuple[float, float]:
-        seg = self.segment_at(t)
+        seg = self._segments[self.segment_index(t)]
         return seg.V_exc, seg.V_inh
 
     def block_index(self, t: float) -> int:

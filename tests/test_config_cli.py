@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -89,6 +90,8 @@ def _captured_cfg(monkeypatch, name: str, argv: list[str]) -> IntegratorConfig:
     pytest.param(lambda: HandshakeConfig(T_spk=math.nan), id="HandshakeConfig.T_spk"),
     pytest.param(lambda: HandshakeConfig(ack_delays=(0.0, math.nan)),
                  id="HandshakeConfig.ack_delays"),
+    pytest.param(lambda: HandshakeConfig(ack_delays=[0.0, math.nan]),
+                 id="HandshakeConfig.ack_delays-list"),
     pytest.param(lambda: RingdownSetup(horizon=math.nan), id="RingdownSetup.horizon"),
     pytest.param(lambda: ChirpSetup(dt=math.nan), id="ChirpSetup.dt"),
     pytest.param(lambda: FISetup(timeout=math.inf), id="FISetup.timeout"),
@@ -142,6 +145,30 @@ ILL_TYPED_VALUES = [
     pytest.param("montecarlo: {model: {seed: -1}}", r"seed must be an integer >= 0, got -1",
                  id="seed-negative"),
 ]
+
+
+def _config_fields(cls=ExperimentConfig, prefix=()):
+    """(key path, default) of every field of ``cls``, each nested section before its fields."""
+    for f in dataclasses.fields(cls):
+        path = (*prefix, f.name)
+        yield path, f.default
+        if dataclasses.is_dataclass(f.default):
+            yield from _config_fields(type(f.default), path)
+
+
+def _document(path: tuple[str, ...], value) -> str:
+    """The YAML document that sets the key at ``path`` to ``value``."""
+    for key in reversed(path):
+        value = {key: value}
+    return yaml.safe_dump(value)
+
+
+# every section and nested section, read from the config's types
+SECTIONS = [pytest.param(path, id=".".join(path))
+            for path, default in _config_fields() if dataclasses.is_dataclass(default)]
+# a YAML true for every other field, inside a list where the field is a tuple
+YAML_TRUE = [pytest.param(path, [True] if isinstance(default, tuple) else True, id=".".join(path))
+             for path, default in _config_fields() if not dataclasses.is_dataclass(default)]
 
 
 class TestLoadConfig:
@@ -236,6 +263,21 @@ class TestLoadConfig:
     def test_polarity_must_be_a_polarity(self, build):
         with pytest.raises(ConfigError, match=r"polarity must be one of \['exc', 'inh'\]"):
             build()
+
+    @pytest.mark.parametrize("path, value", YAML_TRUE)
+    def test_yaml_booleans_rejected(self, path, value, tmp_path):
+        doc = tmp_path / "bool.yaml"
+        doc.write_text(_document(path, value))
+        with pytest.raises(ConfigError, match=re.escape(f"'{'.'.join(path)}' takes no boolean")):
+            load_config(doc)
+
+    @pytest.mark.parametrize("path", SECTIONS)
+    def test_scalar_sections_rejected(self, path, tmp_path):
+        doc = tmp_path / "scalar.yaml"
+        doc.write_text(_document(path, 5))
+        with pytest.raises(ConfigError, match=f"^config section '{re.escape('.'.join(path))}' "
+                                              "must be a mapping$"):
+            load_config(doc)
 
     def test_negative_seed_override_rejected(self):
         with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
@@ -575,6 +617,9 @@ class TestCli:
         pytest.param("fi", "handshake: {ack_delays: [null]}", [], id="ack_delays"),
         pytest.param("montecarlo", "montecarlo: {n_dies: 2.5}", [], id="n_dies"),
         pytest.param("montecarlo", "", ["--seed", "-1"], id="seed"),
+        pytest.param("fi", "fi: {n_levels: true}", [], id="n_levels-boolean"),
+        pytest.param("fi", "handshake: 5", [], id="handshake-scalar"),
+        pytest.param("ringdown", "ringdown: {integrator: 5}", [], id="ringdown.integrator-scalar"),
     ])
     def test_ill_typed_values_exit_code(self, command, doc, argv, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

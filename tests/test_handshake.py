@@ -134,8 +134,16 @@ class TestSerialization:
 
 class TestConfigValidation:
     def test_nonpositive_hold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="T_spk must be positive, got 0.0"):
             HandshakeConfig(T_spk=0.0)
+
+    def test_list_of_delays_is_kept_as_a_tuple(self):
+        with pytest.raises(ConfigError, match="ack_delays must be finite"):
+            HandshakeConfig(mode=AckMode.SCRIPTED_ACK, ack_delays=[0.1, math.nan])
+        from_list = HandshakeConfig(mode=AckMode.SCRIPTED_ACK, ack_delays=[0.1, 0.2])
+        assert from_list == HandshakeConfig(mode=AckMode.SCRIPTED_ACK, ack_delays=(0.1, 0.2))
+        assert hash(from_list) == hash(HandshakeConfig(mode=AckMode.SCRIPTED_ACK,
+                                                       ack_delays=(0.1, 0.2)))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

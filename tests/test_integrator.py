@@ -503,7 +503,7 @@ def reference_integrate(s0, p, prog, cfg, protocol=None, max_events=None):
         return bisect_right(grid, y, key=stop) + 1, bisect_right(extras, y)
 
     def drive(x):
-        seg = prog.segment_at(x)
+        seg = prog.segments[prog.segment_index(x)]
         i_in = synapse_current(seg.V_exc, seg.V_inh, p)
         return seg.t_start, seg.t_end, i_in, kernel_step(p, ref, i_in)
 
