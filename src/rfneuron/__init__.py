@@ -19,13 +19,7 @@ from .core import (
     rhs,
 )
 from .errors import ConfigError, ProtocolError, UndefinedMetricError
-from .handshake import (
-    AckMode,
-    FiringRate,
-    HandshakeConfig,
-    SpikeEvent,
-    firing_rate,
-)
+from .handshake import AckMode, HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import (
     Polarity,
@@ -36,11 +30,13 @@ from .stimuli import (
     synapse_current,
 )
 from .analysis import (
+    FiringRate,
     MetricsRecord,
     TuningMap,
     extract_baseline,
     extract_first_peak,
     fi_curve,
+    firing_rate,
     q_factor,
     tuning_map,
 )

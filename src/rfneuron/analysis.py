@@ -3,8 +3,8 @@
 The ringdown after an impulsive input yields four quantities: the settled
 baseline of each node, the first post-stimulus oscillation peak, the
 resonant frequency, and the quality factor from the decay envelope.  Rate
-metrics (F-I curve) and the frequency-selectivity map come from spike
-events of driven runs.
+metrics (firing rate, F-I curve) and the frequency-selectivity map come from
+spike events of driven runs.  Every metric of a run is computed here.
 
 Frequency uses two independent estimators: the median of inverse
 peak-to-peak intervals and the interpolated maximum of a Hann-windowed
@@ -26,8 +26,10 @@ for all peaks at once.
 
 The frequency and Q estimates read the same peaks of the unclamped V
 samples.  Each public extractor searches its trace itself;
-``experiments.ringdown_metrics`` reads both from ``_v_metrics``, which
-searches V once and hands the peaks to both.
+:func:`ringdown_metrics` searches V once and hands the peaks to both.  A
+metric the trace does not support raises :class:`UndefinedMetricError`,
+which :func:`ringdown_metrics` turns into a flag; a ``ValueError`` is a
+caller error, such as a settle window longer than the trace, and propagates.
 
 The sweeps (:func:`fi_curve` and :func:`tuning_map`) run their independent
 lanes on a thread pool (:func:`_map_lanes`).  A lane spends nearly all of
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -47,18 +50,21 @@ import numpy as np
 
 from .core import CircuitParams, NeuronState, derive_params
 from .errors import UndefinedMetricError
-from .handshake import HandshakeConfig, firing_rate
+from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import StimulusProgram, step
 
 __all__ = [
     "MetricsRecord",
+    "FiringRate",
     "TuningMap",
     "PEAK_MIN_PROMINENCE",
     "extract_baseline",
     "extract_first_peak",
     "resonant_frequency_estimates",
     "q_factor",
+    "ringdown_metrics",
+    "firing_rate",
     "fi_curve",
     "tuning_map",
 ]
@@ -83,11 +89,25 @@ class MetricsRecord:
 
     baseline_U: float
     baseline_V: float
-    first_peak_U: float = math.nan
-    first_peak_V: float = math.nan
-    f_res: float = math.nan
-    q_factor: float = math.nan
-    flags: tuple[str, ...] = ()
+    first_peak_U: float
+    first_peak_V: float
+    f_res: float
+    q_factor: float
+    flags: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class FiringRate:
+    """Inverse inter-spike-interval statistics of one event list."""
+
+    mean_hz: float
+    std_hz: float
+    n_intervals: int
+
+    @property
+    def defined(self) -> bool:
+        """False when fewer than two events prevented any interval estimate."""
+        return self.n_intervals >= 1
 
 
 @dataclass(frozen=True)
@@ -122,8 +142,10 @@ class TuningMap:
 def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
     """Mean (U, V) over the final ``settle_window`` seconds of the trace.
 
-    Raises ``ValueError`` unless the window's samples are finite and
-    clamp-free: a handshake inside it would bias the mean with held voltages.
+    A window with clamped or non-finite samples has no baseline and raises
+    :class:`UndefinedMetricError`: a handshake inside it would bias the mean
+    with held voltages.  A ``settle_window`` that is not positive, or longer
+    than the trace, is a caller error and raises ``ValueError``.
     """
     if settle_window <= 0.0:
         raise ValueError("settle_window must be positive")
@@ -135,10 +157,10 @@ def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
         )
     sel = tr.t >= t_lo
     if np.any(tr.clamped[sel]):
-        raise ValueError("settle window contains clamped samples")
+        raise UndefinedMetricError("settle window contains clamped samples")
     u, v = tr.U[sel], tr.V[sel]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("settle window contains non-finite samples")
+        raise UndefinedMetricError("settle window contains non-finite samples")
     return float(np.mean(u)), float(np.mean(v))
 
 
@@ -332,26 +354,41 @@ def _q_factor(t: np.ndarray, v: np.ndarray, peaks: tuple[np.ndarray, np.ndarray]
     return math.pi * f_res * tau
 
 
-def _v_metrics(
-    tr: Trace,
-) -> tuple[tuple[float, float] | UndefinedMetricError, float | UndefinedMetricError]:
-    """(:func:`resonant_frequency_estimates`, :func:`q_factor`) from one search of the V peaks.
-
-    A metric that is undefined comes back as its :class:`UndefinedMetricError`
-    instead of raising, so one undefined metric does not hide the other.
-    """
+def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> MetricsRecord:
+    """Assemble the four ringdown metrics, flagging each that is undefined."""
+    flags: list[str] = []
+    baseline_U = baseline_V = first_peak_U = first_peak_V = f_res = q = math.nan
+    try:
+        baseline_U, baseline_V = extract_baseline(tr, settle_window)
+    except UndefinedMetricError:
+        # a die whose ringdown spiked holds clamped samples in the tail
+        flags.append("baseline-undefined")
+    try:
+        first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
+    except UndefinedMetricError:
+        flags.append("no-peak")
     t, v = _free_v(tr)
     try:
         peaks = _channel_peaks(t, v)
-    except UndefinedMetricError as err:
-        return err, err
-    results: list = []
-    for metric in (_frequency_estimates, _q_factor):
+    except UndefinedMetricError:
+        flags += ["f-res-undefined", "q-undefined"]
+    else:
         try:
-            results.append(metric(t, v, peaks))
-        except UndefinedMetricError as err:
-            results.append(err)
-    return results[0], results[1]
+            f_res, f_fft = _frequency_estimates(t, v, peaks)
+            if abs(f_res - f_fft) > FREQ_CONSISTENCY_TOL * f_res:
+                flags.append("freq-estimators-disagree")
+        except UndefinedMetricError:
+            flags.append("f-res-undefined")
+        try:
+            q = _q_factor(t, v, peaks)
+            if math.isinf(q):
+                flags.append("infinite-q")
+        except UndefinedMetricError:
+            flags.append("q-undefined")
+    if tr.any_overflow:
+        flags.append("overflow")
+    return MetricsRecord(baseline_U, baseline_V, first_peak_U, first_peak_V, f_res, q,
+                         tuple(flags))
 
 
 def _map_lanes(fn, items) -> list:
@@ -365,6 +402,22 @@ def _map_lanes(fn, items) -> list:
     threads = min(len(items), os.cpu_count() or 1, _MAX_LANES)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         return list(pool.map(fn, items))
+
+
+def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
+    """Mean and standard deviation of inverse inter-spike intervals.
+
+    With fewer than two events there is no interval to invert and the rate
+    is reported as 0 Hz with ``defined`` False.
+    """
+    if len(events) < 2:
+        return FiringRate(mean_hz=0.0, std_hz=math.nan, n_intervals=0)
+    rates = 1.0 / np.diff(np.asarray([e.t_req for e in events]))
+    return FiringRate(
+        mean_hz=float(np.mean(rates)),
+        std_hz=float(np.std(rates)),
+        n_intervals=len(rates),
+    )
 
 
 def fi_curve(

@@ -12,6 +12,9 @@ writes its result files into ``--outdir``:
                 sweep_bias.csv, sweep_fit.json
     montecarlo  die-to-die variability statistics: population.json, dies.csv
 
+``--dt`` sets the integrator step of every subcommand but ``sweep-bias``,
+which steps each point by 1/450 of its nominal period.
+
 A subcommand that returns also writes effective_config.yaml, the fully
 defaulted configuration.  Every result file goes through :func:`write_csv`
 or :func:`write_json`.  A CSV float cell has 12 significant digits
@@ -100,7 +103,7 @@ def _load(args) -> ExperimentConfig:
     overrides: dict = {}
     if args.seed is not None:
         overrides["montecarlo.model.seed"] = args.seed
-    if args.dt is not None:
+    if getattr(args, "dt", None) is not None:
         overrides["integrator.dt"] = args.dt
         overrides["ringdown.integrator.dt"] = args.dt
         overrides["chirp.dt"] = args.dt
@@ -209,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="YAML config path")
         sp.add_argument("--outdir", type=str, default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed override")
-        sp.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
+        if name != "sweep-bias":  # each sweep point sets its own step
+            sp.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
         if name == "chirp":
             sp.add_argument("--full-map", action="store_true",
                             help="also sweep bias/threshold and emit the tuning map")

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, fields
 from numbers import Real
 
-from .errors import ConfigError, require_finite, require_positive
+from .errors import ConfigError, require_finite, require_nonnegative, require_positive
 
 __all__ = [
     "CircuitParams",
@@ -85,13 +85,14 @@ class CircuitParams:
     I_n0_beta: float | None = 20.5e-15  # A, V-branch override (comparator margin)
 
     def __post_init__(self) -> None:
+        # before the float conversion, which would turn True into 1.0
+        require_finite(self)
         # numpy scalars (e.g. from mismatch sampling) would slow every
         # derivative evaluation that reads these fields
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, Real):
                 object.__setattr__(self, f.name, float(value))
-        require_finite(self)
         require_positive(self, "C1", "C2", "I_n0", "U_T", "I_IU", "I_IV", "I_s0_exc", "I_s0_inh",
                          "T_spk")
         for name in ("I_n0_alpha", "I_n0_beta"):
@@ -100,8 +101,7 @@ class CircuitParams:
                 raise ConfigError(f"{name} must be strictly positive when set, got {value!r}")
         if not 0.0 < self.kappa_n < 1.0:
             raise ConfigError(f"kappa_n must lie in (0, 1), got {self.kappa_n!r}")
-        if self.g_damp < 0.0:
-            raise ConfigError(f"g_damp must be non-negative, got {self.g_damp!r}")
+        require_nonnegative(self, "g_damp")
         if not 0.0 < self.V_reset < self.V_th < self.V_DD:
             raise ConfigError(
                 "voltage ordering 0 < V_reset < V_th < V_DD violated: "

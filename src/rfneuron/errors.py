@@ -5,9 +5,12 @@ import math
 import numbers
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "ConfigError", "ProtocolError", "UndefinedMetricError",
-    "require_finite", "require_member", "require_positive", "require_count",
+    "require_finite", "require_member", "require_positive", "require_nonnegative",
+    "require_count",
 ]
 
 
@@ -24,15 +27,21 @@ class UndefinedMetricError(RuntimeError):
 
 
 def require_finite(obj) -> None:
-    """Reject NaN or infinity in any float field (or tuple entry) of dataclass ``obj``.
+    """Reject a boolean, NaN or infinity in any field (or tuple entry) of dataclass ``obj``.
 
     Range checks written as comparisons let NaN through, since every
-    comparison with NaN is false; this check runs before them.
+    comparison with NaN is false; this check runs before them.  A bool
+    (numpy's too) would pass them as 0 or 1, and no parameter is boolean.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         entries = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+        if any(isinstance(x, (bool, np.bool_)) for x in entries):
+            raise ConfigError(f"{f.name} must be a number, not a boolean, got {value!r}")
+        # every real, numpy's float32 too; an integer is finite, and math.isfinite
+        # overflows on a huge one
+        if any(isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral)
+               and not math.isfinite(x) for x in entries):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
@@ -49,6 +58,14 @@ def require_positive(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not value > 0.0:
             raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
+def require_nonnegative(obj, *names: str) -> None:
+    """Reject each named field of ``obj`` unless it (or every tuple entry) is at least zero."""
+    for name in names:
+        value = getattr(obj, name)
+        if not all(x >= 0.0 for x in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
 
 def require_count(obj, minimum: int, *names: str) -> None:

@@ -2,8 +2,10 @@
 
 Each runner owns the stimulus construction and integrator settings of one
 measurement protocol and returns plain data (traces, events, metric rows)
-for the caller to serialize.  Sweeps rescale the step size and horizon with
-the nominal resonance so every operating point is resolved equally well.
+for the caller to serialize; the metrics come from :mod:`rfneuron.analysis`,
+and ``ringdown_metrics`` is re-exported here.  Sweeps rescale the step size
+and horizon with the nominal resonance so every operating point is resolved
+equally well.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (
-    MetricsRecord,
-    extract_baseline,
-    extract_first_peak,
-    FREQ_CONSISTENCY_TOL,
-    _v_metrics,
-)
+from .analysis import MetricsRecord, ringdown_metrics
 from .core import CircuitParams, NeuronState, derive_params
 from .errors import (
     ConfigError, UndefinedMetricError, require_count, require_finite, require_member,
@@ -189,47 +185,6 @@ class FISetup:
 
     def levels(self) -> list[float]:
         return np.linspace(self.level_min, self.level_max, self.n_levels).tolist()
-
-
-def ringdown_metrics(
-    tr: Trace, t_stim_end: float, settle_window: float
-) -> MetricsRecord:
-    """Assemble the four ringdown metrics, flagging whatever is undefined."""
-    flags: list[str] = []
-    baseline_U = baseline_V = math.nan
-    try:
-        baseline_U, baseline_V = extract_baseline(tr, settle_window)
-    except ValueError:
-        # a die whose ringdown spiked holds clamped samples in the tail, and
-        # a window with a non-finite sample has no mean
-        flags.append("baseline-undefined")
-    first_peak_U = first_peak_V = math.nan
-    try:
-        first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
-    except UndefinedMetricError:
-        flags.append("no-peak")
-    f_res = q = math.nan
-    freq, q_or_err = _v_metrics(tr)
-    if isinstance(freq, UndefinedMetricError):
-        flags.append("f-res-undefined")
-    else:
-        f_peaks, f_fft = freq
-        f_res = f_peaks
-        if abs(f_peaks - f_fft) > FREQ_CONSISTENCY_TOL * f_peaks:
-            flags.append("freq-estimators-disagree")
-    if isinstance(q_or_err, UndefinedMetricError):
-        flags.append("q-undefined")
-    else:
-        q = q_or_err
-        if math.isinf(q):
-            flags.append("infinite-q")
-    if tr.any_overflow:
-        flags.append("overflow")
-    return MetricsRecord(
-        baseline_U=baseline_U, baseline_V=baseline_V,
-        first_peak_U=first_peak_U, first_peak_V=first_peak_V,
-        f_res=f_res, q_factor=q, flags=tuple(flags),
-    )
 
 
 def run_ringdown(

@@ -7,27 +7,20 @@ latency: in self-acknowledge mode the hold lasts T_spk; in scripted mode a
 per-event delay is inserted before the hold.  Release restores free-running
 dynamics from (V_reset, V_th).  A new request can assert only after the
 comparator de-asserts, i.e. after V has fallen back below threshold.
+
+Rates measured from the events are computed in :mod:`rfneuron.analysis`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
-import numpy as np
+from .errors import (
+    ProtocolError, require_finite, require_member, require_nonnegative, require_positive,
+)
 
-from .errors import ProtocolError, require_finite, require_member, require_positive
-
-__all__ = [
-    "AckMode",
-    "HandshakeConfig",
-    "SpikeEvent",
-    "HandshakeFSM",
-    "FiringRate",
-    "firing_rate",
-]
+__all__ = ["AckMode", "HandshakeConfig", "SpikeEvent", "HandshakeFSM"]
 
 
 class AckMode(Enum):
@@ -44,14 +37,13 @@ class HandshakeConfig:
     ack_delays: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # a list would escape require_finite, which looks inside tuples, and leave the config
-        # unhashable
+        # a list would escape require_finite and require_nonnegative, which look inside
+        # tuples, and leave the config unhashable
         object.__setattr__(self, "ack_delays", tuple(self.ack_delays))
         require_finite(self)
         require_member(self, "mode", AckMode)
         require_positive(self, "T_spk")
-        if any(d < 0.0 for d in self.ack_delays):
-            raise ValueError("acknowledge delays must be non-negative")
+        require_nonnegative(self, "ack_delays")
 
     def hold_duration(self, index: int) -> float:
         """Total clamp duration for event ``index``."""
@@ -115,33 +107,3 @@ class HandshakeFSM:
         if e != self._pending:
             raise ProtocolError("release for a different event than the pending one")
         self._pending = None
-
-
-@dataclass(frozen=True)
-class FiringRate:
-    """Inverse inter-spike-interval statistics of one event list."""
-
-    mean_hz: float
-    std_hz: float
-    n_intervals: int
-
-    @property
-    def defined(self) -> bool:
-        """False when fewer than two events prevented any interval estimate."""
-        return self.n_intervals >= 1
-
-
-def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
-    """Mean and standard deviation of inverse inter-spike intervals.
-
-    With fewer than two events there is no interval to invert and the rate
-    is reported as 0 Hz with ``defined`` False.
-    """
-    if len(events) < 2:
-        return FiringRate(mean_hz=0.0, std_hz=math.nan, n_intervals=0)
-    rates = 1.0 / np.diff(np.asarray([e.t_req for e in events]))
-    return FiringRate(
-        mean_hz=float(np.mean(rates)),
-        std_hz=float(np.std(rates)),
-        n_intervals=len(rates),
-    )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import MetricsRecord
 from .core import CircuitParams, derive_params
-from .errors import ConfigError, require_count, require_finite
+from .errors import ConfigError, require_count, require_finite, require_nonnegative
 from .experiments import RingdownSetup, run_ringdown
 from .handshake import HandshakeConfig
 
@@ -64,10 +64,8 @@ class MismatchModel:
     def __post_init__(self) -> None:
         require_finite(self)
         require_count(self, 0, "seed")
-        for name in ("sigma_ln_In0_alpha", "sigma_ln_In0_beta", "sigma_C",
-                     "sigma_I_bias", "sigma_ln_g_damp"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        require_nonnegative(self, "sigma_ln_In0_alpha", "sigma_ln_In0_beta", "sigma_C",
+                            "sigma_I_bias", "sigma_ln_g_damp")
 
 
 @dataclass(frozen=True)

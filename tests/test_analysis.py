@@ -43,9 +43,10 @@ from rfneuron.analysis import (
     _MAX_LANES,
     _map_lanes,
     resonant_frequency_estimates,
+    ringdown_metrics,
 )
 from rfneuron.cli import write_csv, write_json
-from rfneuron.experiments import RingdownSetup, ringdown_metrics, run_chirp, run_ringdown
+from rfneuron.experiments import RingdownSetup, run_chirp, run_ringdown
 from rfneuron.stimuli import Polarity
 
 
@@ -99,11 +100,17 @@ class TestExtractBaseline:
         with pytest.raises(ValueError):
             extract_baseline(tr, settle_window=10 * tr.t[-1])
 
+    def test_window_larger_than_trace_is_no_flag(self):
+        # a caller error propagates; only an undefined metric becomes a flag
+        tr = synthetic_ringdown(duration=0.05)
+        with pytest.raises(ValueError, match="exceeds trace span"):
+            ringdown_metrics(tr, 1.1e-3, settle_window=10.0)
+
     @pytest.mark.parametrize("column, value", [("U", math.nan), ("V", math.inf)])
     def test_non_finite_sample_in_window_rejected(self, column, value):
         tr = synthetic_ringdown()
         getattr(tr, column)[-3] = value
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(UndefinedMetricError, match="non-finite"):
             extract_baseline(tr, settle_window=tr.t[-1] / 5)
         metrics = ringdown_metrics(tr, 2e-3, tr.t[-1] / 5)
         assert "baseline-undefined" in metrics.flags
@@ -388,7 +395,7 @@ def metrics_one_by_one(tr, t_stim_end, settle_window):
     baseline_U = baseline_V = first_peak_U = first_peak_V = f_res = q = math.nan
     try:
         baseline_U, baseline_V = extract_baseline(tr, settle_window)
-    except ValueError:
+    except UndefinedMetricError:
         flags.append("baseline-undefined")
     try:
         first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,10 @@ def _captured_cfg(monkeypatch, name: str, argv: list[str]) -> IntegratorConfig:
     pytest.param(lambda: FISetup(timeout=math.inf), id="FISetup.timeout"),
     pytest.param(lambda: SweepSetup(I_max=math.nan), id="SweepSetup.I_max"),
     pytest.param(lambda: MonteCarloSetup(amplitude=math.nan), id="MonteCarloSetup.amplitude"),
+    pytest.param(lambda: RingdownSetup(amplitude=np.float32(math.nan)),
+                 id="RingdownSetup.amplitude-float32"),
+    pytest.param(lambda: HandshakeConfig(ack_delays=(np.float32(math.inf),)),
+                 id="HandshakeConfig.ack_delays-float32"),
 ])
 def test_non_finite_values_rejected(build):
     with pytest.raises(ValueError, match="finite"):
@@ -111,6 +116,15 @@ def test_non_finite_values_rejected(build):
 ])
 def test_fractional_strides_and_non_positive_steps_rejected(build):
     with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: MismatchModel(sigma_C=-1.0), id="MismatchModel.sigma_C"),
+    pytest.param(lambda: CircuitParams(g_damp=-1e-12), id="CircuitParams.g_damp"),
+])
+def test_negative_sigmas_and_damping_are_config_errors(build):
+    with pytest.raises(ConfigError, match="must be non-negative"):
         build()
 
 
@@ -169,6 +183,34 @@ SECTIONS = [pytest.param(path, id=".".join(path))
 # a YAML true for every other field, inside a list where the field is a tuple
 YAML_TRUE = [pytest.param(path, [True] if isinstance(default, tuple) else True, id=".".join(path))
              for path, default in _config_fields() if not dataclasses.is_dataclass(default)]
+
+
+# (owning type, field, True) for every numeric field of every section type, nested ones
+# included; a tuple field gets a tuple holding True
+_DEFAULTS = dict(_config_fields())
+LIBRARY_TRUE = [
+    pytest.param(type(_DEFAULTS[path[:-1]]), path[-1],
+                 (True,) if isinstance(default, tuple) else True, id=".".join(path))
+    for path, default in _DEFAULTS.items()
+    if len(path) > 1 and not dataclasses.is_dataclass(default) and not isinstance(default, Enum)
+]
+
+
+@pytest.mark.parametrize("cls, name, value", LIBRARY_TRUE)
+def test_constructors_reject_booleans(cls, name, value):
+    # a bool passes every range check as 0 or 1 (CircuitParams(C1=True) was 1 F)
+    with pytest.raises(ConfigError, match=f"{name} must be a number, not a boolean"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: CircuitParams(V_th=np.True_), id="CircuitParams.V_th"),
+    pytest.param(lambda: HandshakeConfig(ack_delays=(0.0, np.False_)),
+                 id="HandshakeConfig.ack_delays"),
+])
+def test_constructors_reject_numpy_booleans(build):
+    with pytest.raises(ConfigError, match="not a boolean"):
+        build()
 
 
 class TestLoadConfig:
@@ -483,6 +525,15 @@ class TestCli:
         rc = main(["ringdown", "--config", str(fast_config), "--outdir", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == "undefined metric: no local maximum after the stimulus\n"
+
+    def test_sweep_bias_takes_no_dt(self, tmp_path, capsys):
+        # each sweep point sets its own step, so a --dt would only be written into
+        # effective_config.yaml as if the run had used it
+        with pytest.raises(SystemExit) as info:
+            main(["sweep-bias", "--dt", "1e-6", "--outdir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_with_one_point_exit_code(self, tmp_path, capsys):
         doc = yaml.safe_load(FAST_CONFIG)

@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` exists, the package imports light, and the
 benchmark's traced call sites still exist."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import rfneuron
 from rfneuron import (
-    CircuitParams, IntegratorConfig, NeuronState, derive_params, experiments, integrator, step,
+    CircuitParams, IntegratorConfig, NeuronState, analysis, derive_params, experiments,
+    handshake, integrator, step,
 )
 
 MODULES = [m.name for m in pkgutil.iter_modules(rfneuron.__path__)]
@@ -24,6 +26,26 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"rfneuron.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private name is one module's detail; another module that needs it needs a public name
+    private = []
+    for path in sorted(Path(rfneuron.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                            f"import {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
+def test_every_metric_lives_in_analysis():
+    assert experiments.ringdown_metrics is analysis.ringdown_metrics
+    for name in ("ringdown_metrics", "firing_rate", "FiringRate"):
+        assert getattr(analysis, name).__module__ == "rfneuron.analysis"
+    assert rfneuron.firing_rate is analysis.firing_rate
+    assert rfneuron.FiringRate is analysis.FiringRate
+    assert not hasattr(handshake, "np")
 
 
 def test_import_loads_no_scipy():

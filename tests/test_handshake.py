@@ -146,7 +146,7 @@ class TestConfigValidation:
                                                        ack_delays=(0.1, 0.2)))
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"ack_delays must be non-negative, got \(-0.001,\)"):
             HandshakeConfig(mode=AckMode.SCRIPTED_ACK, ack_delays=(-1e-3,))
 
     @pytest.mark.parametrize("mode", [3, "self_ack", None])
