@@ -14,8 +14,9 @@ import os
 import numpy as np
 
 from rfneuron import CircuitParams
+from rfneuron.analysis import linear_fit
 from rfneuron.cli import write_csv
-from rfneuron.experiments import SweepSetup, linear_fit, run_bias_sweep
+from rfneuron.experiments import SweepSetup, run_bias_sweep
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "sweep")
 

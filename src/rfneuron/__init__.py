@@ -37,6 +37,7 @@ from .analysis import (
     extract_first_peak,
     fi_curve,
     firing_rate,
+    linear_fit,
     q_factor,
     tuning_map,
 )
@@ -45,7 +46,6 @@ from .experiments import (
     FISetup,
     RingdownSetup,
     SweepSetup,
-    linear_fit,
     run_bias_sweep,
     run_chirp,
     run_ringdown,

@@ -31,11 +31,13 @@ metric the trace does not support raises :class:`UndefinedMetricError`,
 which :func:`ringdown_metrics` turns into a flag; a ``ValueError`` is a
 caller error, such as a settle window longer than the trace, and propagates.
 
-The sweeps (:func:`fi_curve` and :func:`tuning_map`) run their independent
-lanes on a thread pool (:func:`_map_lanes`).  A lane spends nearly all of
-its time in the compiled span runner, which ``ctypes`` calls with the GIL
-released, so the lanes of one sweep run in parallel in one process: no
-fork, no pickling and no second copy of the process's memory.
+Independent runs (the levels of :func:`fi_curve`, the rows of
+:func:`tuning_map` and the dies of ``montecarlo.run_population``) go
+through :func:`map_lanes`, the package's one parallel mechanism: the
+calling thread and up to two helper threads take the runs one by one.  A
+run spends nearly all of its time in the compiled span runner, which
+``ctypes`` calls with the GIL released, so the lanes run in parallel in one
+process: no fork, no pickling and no second copy of the process's memory.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -65,6 +67,8 @@ __all__ = [
     "q_factor",
     "ringdown_metrics",
     "firing_rate",
+    "linear_fit",
+    "map_lanes",
     "fi_curve",
     "tuning_map",
 ]
@@ -75,11 +79,11 @@ PEAK_MIN_PROMINENCE = 0.1e-3  # V
 # Maximum relative disagreement tolerated between the two frequency estimators.
 FREQ_CONSISTENCY_TOL = 0.02
 
-# Most sweep lanes live at once.  Each live lane holds its own trace buffer
-# and malloc arena: with one lane per CPU, peak RSS of the default `fi` run
-# went from 33.9 MB (one lane at a time) to 36.0-37.1 MB at 4 lanes and
-# 45.5 MB at 26; at 3 lanes it stays within 6% (35.2-35.9 MB; `chirp
-# --full-map` 36.5 -> 38.5 MB).
+# Most lanes live at once.  Each live lane holds its own trace buffer and
+# each helper thread its own malloc arena: with one lane per CPU, peak RSS
+# of the default `fi` run went from 33.9 MB (one lane at a time) to
+# 36.0-37.1 MB at 4 lanes and 45.5 MB at 26; at 3 lanes it stays within 6%
+# (35.2-35.9 MB; `chirp --full-map` 36.5 -> 38.5 MB).
 _MAX_LANES = 3
 
 
@@ -256,12 +260,30 @@ def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-d array, by one full sort.
+
+    ``np.median`` imports ``numpy.ma``, which with its first call cost
+    1.7 MB of peak memory.  The middle pair is averaged as ``np.median``
+    averages it, ``(a + b) / 2``, so on arrays without zeros the two agree
+    bit for bit; a zero median may differ in its sign.  A NaN sorts last and
+    makes the median NaN.
+    """
+    s = np.sort(x)
+    n = len(s)
+    if math.isnan(s[-1]):
+        return math.nan
+    if n % 2:
+        return float(s[n // 2])
+    return (float(s[n // 2 - 1]) + float(s[n // 2])) / 2.0
+
+
 def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
     """Frequency of the tapered-spectrum maximum, parabolically interpolated."""
     n = len(x)
     if n < 16:
         raise UndefinedMetricError("trace too short for a spectral estimate")
-    dt = float(np.median(np.diff(t)))
+    dt = _median(np.diff(t))
     y = (x - np.mean(x)) * np.hanning(n)
     spec = np.abs(np.fft.rfft(y))
     spec[0] = 0.0
@@ -298,7 +320,7 @@ def _frequency_estimates(
     if len(times) < 3:
         raise UndefinedMetricError("fewer than 3 oscillation peaks detected")
     intervals = np.diff(times)
-    f_peaks = float(np.median(1.0 / intervals))
+    f_peaks = _median(1.0 / intervals)
     f_fft = _fft_peak_frequency(t, v)
     return f_peaks, f_fft
 
@@ -345,7 +367,7 @@ def _q_factor(t: np.ndarray, v: np.ndarray, peaks: tuple[np.ndarray, np.ndarray]
     if np.count_nonzero(small) >= 5:
         times, heights = times[small], heights[small]
     intervals = np.diff(times)
-    f_res = float(np.median(1.0 / intervals))
+    f_res = _median(1.0 / intervals)
     slope = float(np.polyfit(times, np.log(heights), 1)[0])
     span = float(times[-1] - times[0])
     if slope >= 0.0 or -slope * span < 5e-3:
@@ -391,17 +413,51 @@ def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> Metr
                          tuple(flags))
 
 
-def _map_lanes(fn, items) -> list:
-    """``[fn(x) for x in items]``, run on ``min(len(items), os.cpu_count(), _MAX_LANES)`` threads.
+def map_lanes(fn, items, lanes: int = _MAX_LANES) -> list:
+    """``[fn(x) for x in items]`` on ``min(len(items), os.cpu_count(), lanes, _MAX_LANES)`` lanes.
 
-    Results keep the input order.  When lanes raise, the exception of the
-    first of them in input order propagates, as in the serial loop, and lanes
-    not yet started are cancelled.
+    The calling thread is one lane, and each further lane is a helper
+    thread; with one lane no thread starts.  Each lane takes the next
+    untaken item until none is left, and the results keep the input order.
+    A lane whose item raises stops, and once any lane has failed no lane
+    takes another item.  The items are taken in input order, so every item
+    before the first failing one has run by then, and that first failure in
+    input order is raised, as in the serial loop.  An interrupt of the
+    calling thread likewise stops new items.
     """
     items = list(items)
-    threads = min(len(items), os.cpu_count() or 1, _MAX_LANES)
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    untaken = iter(range(len(items)))
+    lock = Lock()
+
+    def lane() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(untaken, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, once every lane has stopped
+                with lock:
+                    failures[i] = exc
+                return
+
+    helpers = [Thread(target=lane)
+               for _ in range(min(len(items), os.cpu_count() or 1, lanes, _MAX_LANES) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        lane()
+    finally:
+        with lock:
+            untaken = iter(())  # however the calling lane ended, no lane takes another item
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
@@ -420,6 +476,28 @@ def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
     )
 
 
+def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
+    """Least-squares line y = slope*x + intercept with R^2 and the mid-range y.
+
+    Fewer than 2 points define no line and raise :class:`UndefinedMetricError`.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) < 2:
+        raise UndefinedMetricError(f"a line fit needs at least 2 finite points, got {len(x)}")
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return {
+        "slope_Hz_per_A": float(slope),
+        "intercept_Hz": float(intercept),
+        "r_squared": r2,
+        "midrange_Hz": _median(y),
+    }
+
+
 def fi_curve(
     p: CircuitParams,
     levels: list[float],
@@ -435,9 +513,9 @@ def fi_curve(
     elapse; silence is a valid zero-rate outcome.  Returns rows of
     (level_V, rate_Hz, rate_std_Hz) in the order given; levels must be
     increasing, and ``spikes_per_point`` at least 2, since a rate needs one
-    inter-spike interval.  The levels are independent lanes: they run on
-    threads, one per CPU up to ``_MAX_LANES``, and the rows come back in
-    level order whatever the thread count.  There is no option for it.
+    inter-spike interval.  The levels run on :func:`map_lanes`, one lane per
+    CPU up to ``_MAX_LANES``, and the rows come back in level order whatever
+    the lane count.  There is no option for it.
     """
     if any(b >= c for b, c in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -456,7 +534,7 @@ def fi_curve(
         rate = firing_rate(events)
         return level, rate.mean_hz, 0.0 if not rate.defined else rate.std_hz
 
-    return _map_lanes(level_row, levels)
+    return map_lanes(level_row, levels)
 
 
 def tuning_map(
@@ -473,9 +551,9 @@ def tuning_map(
     applied, the chirp is simulated, and every output spike is binned by the
     frequency block active at its request time.  Spikes after the final
     block (free ringing of the tail) land in the last block.  The bias rows
-    are independent lanes: they run on threads, one per CPU up to
-    ``_MAX_LANES``, and the counts come back in row order whatever the
-    thread count.  There is no option for it.
+    run on :func:`map_lanes`, one lane per CPU up to ``_MAX_LANES``, and the
+    counts come back in row order whatever the lane count.  There is no
+    option for it.
     """
     if len(bias_levels) != len(vth_schedule):
         raise ValueError("bias_levels and vth_schedule must have matching lengths")
@@ -497,7 +575,7 @@ def tuning_map(
             row[chirp.block_index(e.t_req)] += 1
         return row
 
-    counts = _map_lanes(row_counts, zip(bias_levels, vth_schedule))
+    counts = map_lanes(row_counts, zip(bias_levels, vth_schedule))
     return TuningMap(
         bias_levels=tuple(bias_levels),
         frequencies=freqs,

@@ -13,7 +13,9 @@ writes its result files into ``--outdir``:
     montecarlo  die-to-die variability statistics: population.json, dies.csv
 
 ``--dt`` sets the integrator step of every subcommand but ``sweep-bias``,
-which steps each point by 1/450 of its nominal period.
+which steps each point by 1/450 of its nominal period.  ``--seed`` sets
+the mismatch seed and is taken by ``montecarlo`` alone, the one subcommand
+that samples.
 
 A subcommand that returns also writes effective_config.yaml, the fully
 defaulted configuration.  Every result file goes through :func:`write_csv`
@@ -45,10 +47,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import tuning_map, fi_curve
+from .analysis import fi_curve, linear_fit, tuning_map
 from .config import ExperimentConfig, dump_effective_config, load_config
 from .errors import ConfigError, ProtocolError, UndefinedMetricError
-from .experiments import linear_fit, run_bias_sweep, run_chirp, run_ringdown
+from .experiments import run_bias_sweep, run_chirp, run_ringdown
 from .montecarlo import METRIC_NAMES, run_population
 
 EXIT_OK = 0
@@ -101,7 +103,7 @@ def _write_trace(path, trace) -> None:
 
 def _load(args) -> ExperimentConfig:
     overrides: dict = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["montecarlo.model.seed"] = args.seed
     if getattr(args, "dt", None) is not None:
         overrides["integrator.dt"] = args.dt
@@ -211,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None, help="YAML config path")
         sp.add_argument("--outdir", type=str, default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed override")
+        if name == "montecarlo":  # the only subcommand that samples
+            sp.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed override")
         if name != "sweep-bias":  # each sweep point sets its own step
             sp.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
         if name == "chirp":

@@ -50,7 +50,7 @@ class ExperimentConfig:
 
     neuron: CircuitParams = CircuitParams()
     integrator: IntegratorConfig = IntegratorConfig()
-    handshake: HandshakeConfig = HandshakeConfig(T_spk=CircuitParams().T_spk)
+    handshake: HandshakeConfig = HandshakeConfig()
     ringdown: RingdownSetup = RingdownSetup()
     fi: FISetup = FISetup()
     chirp: ChirpSetup = ChirpSetup()

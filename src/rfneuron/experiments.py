@@ -18,8 +18,7 @@ import numpy as np
 from .analysis import MetricsRecord, ringdown_metrics
 from .core import CircuitParams, NeuronState, derive_params
 from .errors import (
-    ConfigError, UndefinedMetricError, require_count, require_finite, require_member,
-    require_positive,
+    ConfigError, require_count, require_finite, require_member, require_positive,
 )
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
@@ -34,7 +33,6 @@ __all__ = [
     "ringdown_metrics",
     "run_chirp",
     "run_bias_sweep",
-    "linear_fit",
 ]
 
 # Steps per nominal period maintained by sweep runners (10 us at the 150 pA
@@ -257,25 +255,3 @@ def run_bias_sweep(
             }
         )
     return rows
-
-
-def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
-    """Least-squares line y = slope*x + intercept with R^2 and the mid-range y.
-
-    Fewer than 2 points define no line and raise :class:`UndefinedMetricError`.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 2:
-        raise UndefinedMetricError(f"a line fit needs at least 2 finite points, got {len(x)}")
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return {
-        "slope_Hz_per_A": float(slope),
-        "intercept_Hz": float(intercept),
-        "r_squared": r2,
-        "midrange_Hz": float(np.median(y)),
-    }

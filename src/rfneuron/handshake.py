@@ -33,7 +33,7 @@ class HandshakeConfig:
     """Acknowledge model: fixed self-ack hold or scripted per-event latencies."""
 
     mode: AckMode = AckMode.SELF_ACK
-    T_spk: float = 100e-6
+    T_spk: float = 60e-6  # CircuitParams.T_spk, the hold of protocol=None
     ack_delays: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:

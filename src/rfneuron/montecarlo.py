@@ -17,13 +17,11 @@ from the same stream rather than clamped, so tails stay unbiased.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import MetricsRecord
+from .analysis import MetricsRecord, map_lanes
 from .core import CircuitParams, derive_params
 from .errors import ConfigError, require_count, require_finite, require_nonnegative
 from .experiments import RingdownSetup, run_ringdown
@@ -75,8 +73,10 @@ class MonteCarloSetup:
     The per-die ringdown uses a gentler 0.4 V pulse than the standard
     characterization so that dies at the small-margin tail of the spread
     still ring below threshold and yield well-defined metrics.  ``workers``
-    is :func:`run_population`'s cap on how many dies run at once; the
-    outputs do not depend on it.
+    is :func:`run_population`'s cap on how many dies run at once.  The CPU
+    count and ``analysis.map_lanes``'s limit of three lanes cap them too, so
+    ``workers: 5000`` runs at most three dies at once.  The outputs do not
+    depend on it.
     """
 
     n_dies: int = 100
@@ -149,13 +149,6 @@ def sample_die(base: CircuitParams, m: MismatchModel, die_index: int) -> Circuit
     return _sample_die_counted(base, m, die_index)[0]
 
 
-def _die_metrics(args: tuple) -> tuple[MetricsRecord, int]:
-    base, model, die_index, setup, protocol = args
-    die, rejected = _sample_die_counted(base, model, die_index)
-    _, _, metrics = run_ringdown(die, setup, protocol)
-    return metrics, rejected
-
-
 def _aggregate(values: list[float]) -> dict:
     finite = np.asarray([v for v in values if math.isfinite(v)])
     n_excluded = len(values) - len(finite)
@@ -179,16 +172,11 @@ def run_population(
 ) -> PopulationStats:
     """Ringdown metrics and their spread over ``n_dies`` sampled dies.
 
-    Dies are independent; they run on a process pool of
-    ``min(workers, n_dies, os.cpu_count())`` processes when that is above
-    one.  Each process gets one chunk of ``ceil(n_dies / processes)``
-    dies, and the pool's ordered map keeps the result identical to a
-    sequential run.  The dies stay on processes although the sweeps in
-    :mod:`analysis` run their lanes on threads.  A thread prototype ran
-    eight dies on 2 cores in 0.046 s instead of 0.087 s, but it raised the
-    peak RSS from 39.8 to 44.8 MB (+12%): dies run in the calling process
-    page OpenBLAS (for ``polyfit``), pocketfft and the metric extraction's
-    heap into it, where pool workers keep them in their own memory.
+    Dies are independent; they run on ``analysis.map_lanes`` with
+    ``workers`` as its lane cap, so at most
+    ``min(n_dies, os.cpu_count(), workers, 3)`` dies run at once, the
+    calling thread being one of the lanes.  The result is identical to a
+    sequential run, and a die that raises stops the dies not yet started.
     Every die's ringdown uses ``protocol`` (by default a self-acknowledge
     hold of the die's ``T_spk``).  Dies whose metric is undefined are
     excluded from that metric's statistics and counted in ``n_excluded``.
@@ -197,14 +185,13 @@ def run_population(
         raise ValueError("population statistics need at least 2 dies")
     if setup is None:
         setup = RingdownSetup()
-    jobs = [(base, m, i, setup, protocol) for i in range(n_dies)]
-    processes = min(workers, n_dies, os.cpu_count() or 1)
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            chunksize = math.ceil(n_dies / processes)
-            results = list(pool.map(_die_metrics, jobs, chunksize=chunksize))
-    else:
-        results = list(map(_die_metrics, jobs))
+
+    def die_metrics(die_index: int) -> tuple[MetricsRecord, int]:
+        die, rejected = _sample_die_counted(base, m, die_index)
+        _, _, metrics = run_ringdown(die, setup, protocol)
+        return metrics, rejected
+
+    results = map_lanes(die_metrics, range(n_dies), workers)
     records = tuple(rec for rec, _ in results)
     stats = {
         name: _aggregate([getattr(r, name) for r in records])

@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +28,20 @@ def default_params() -> CircuitParams:
 def symmetric_params() -> CircuitParams:
     """Both exponential branches on the shared 47 fA process current."""
     return dataclasses.replace(CircuitParams(), I_n0_beta=None)
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """``on_cpus(cpus, run)`` is ``run()`` with ``os.cpu_count`` reporting ``cpus``, and with
+    threads switching every microsecond so that lanes interleave."""
+
+    def run_on(cpus, run):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return run()
+        finally:
+            sys.setswitchinterval(interval)
+
+    return run_on

@@ -30,14 +30,13 @@ from rfneuron import (
     step,
     tuning_map,
 )
-from rfneuron.analysis import resonant_frequency_estimates
+from rfneuron.analysis import linear_fit, resonant_frequency_estimates
 from rfneuron.cli import main as cli_main
 from rfneuron.experiments import (
     ChirpSetup,
     FISetup,
     RingdownSetup,
     SweepSetup,
-    linear_fit,
     run_bias_sweep,
     run_chirp,
     run_ringdown,

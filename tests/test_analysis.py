@@ -3,8 +3,6 @@
 import dataclasses
 import json
 import math
-import os
-import sys
 import threading
 import time
 import warnings
@@ -41,7 +39,8 @@ from rfneuron.analysis import (
     _channel_peaks,
     _find_peaks,
     _MAX_LANES,
-    _map_lanes,
+    _median,
+    map_lanes,
     resonant_frequency_estimates,
     ringdown_metrics,
 )
@@ -389,6 +388,38 @@ class TestQFactor:
             q_factor(tr)
 
 
+# zero-free floats of every size, subnormals included, with ties among the sampled values
+_nonzero = st.one_of(st.floats(allow_nan=False).filter(bool),
+                     st.sampled_from([5e-324, 1e-310, 1.0, 2.0, _HUGE, -_HUGE, -1.0]))
+
+
+def np_median(x) -> float:
+    """``np.median``, the oracle; the middle pair of huge values overflows to inf in both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.median(x))
+
+
+class TestMedian:
+    """``_median`` gives what ``np.median`` gives, without importing ``numpy.ma``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(_nonzero, min_size=1, max_size=40))
+    def test_equals_np_median_bit_for_bit_without_zeros(self, x):
+        assert_same_floats(_median(np.asarray(x)), np_median(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.one_of(_nonzero, st.sampled_from([0.0, -0.0])), min_size=1, max_size=40))
+    def test_equals_np_median_by_value_with_signed_zeros(self, x):
+        got, expected = _median(np.asarray(x)), np_median(x)
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(), min_size=0, max_size=39), at=st.integers(0, 39))
+    def test_nan_propagates(self, x, at):
+        x.insert(min(at, len(x)), math.nan)
+        assert math.isnan(_median(np.asarray(x)))
+
+
 def metrics_one_by_one(tr, t_stim_end, settle_window):
     """The ``ringdown_metrics`` record built from the public extractors, each searching alone."""
     flags = []
@@ -529,30 +560,35 @@ _PROTOCOLS = [pytest.param(None, id="self-ack"), pytest.param(_SCRIPTED, id="scr
 _SHORT_CHIRP = spiking_chirp(196.0, 220.0, 2, 10, 100e-6, 0.5, Polarity.INH)
 
 
-def _on_cpus(monkeypatch, cpus: int, run):
-    """``run()`` with ``os.cpu_count`` reporting ``cpus``, switching threads every microsecond."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        return run()
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestLanes:
     """Sweep lanes run on threads and give what one lane at a time gives."""
 
-    def test_lanes_run_at_once_and_keep_their_order(self, monkeypatch):
-        barrier = threading.Barrier(3, timeout=30)
+    def test_lanes_run_at_once_and_keep_their_order(self, on_cpus):
+        barrier, threads = threading.Barrier(3, timeout=30), set()
 
         def lane(x):
+            threads.add(threading.get_ident())
             barrier.wait()  # breaks unless all three lanes run at the same time
             return x * x
 
-        assert _on_cpus(monkeypatch, 3, lambda: _map_lanes(lane, [3, 1, 2])) == [9, 1, 4]
+        assert on_cpus(3, lambda: map_lanes(lane, [3, 1, 2])) == [9, 1, 4]
+        assert len(threads) == 3 and threading.get_ident() in threads  # the caller is a lane
 
-    def test_no_more_lanes_than_the_cap_live_at_once(self, monkeypatch):
+    @pytest.mark.parametrize("cpus, lanes", [(1, 3), (4, 1)])
+    def test_one_lane_runs_on_the_calling_thread(self, on_cpus, cpus, lanes):
+        threads = set()
+
+        def lane(x):
+            threads.add(threading.get_ident())
+            return -x
+
+        assert on_cpus(cpus, lambda: map_lanes(lane, [1, 2, 3], lanes)) == [-1, -2, -3]
+        assert threads == {threading.get_ident()}
+
+    def test_no_item_gives_no_result(self):
+        assert map_lanes(lambda x: x, []) == []
+
+    def test_no_more_lanes_than_the_cap_live_at_once(self, on_cpus):
         lock, live, most = threading.Lock(), [0], [0]
 
         def lane(x):
@@ -565,10 +601,10 @@ class TestLanes:
             return x
 
         items = list(range(4 * _MAX_LANES))
-        assert _on_cpus(monkeypatch, 26, lambda: _map_lanes(lane, items)) == items
+        assert on_cpus(26, lambda: map_lanes(lane, items)) == items
         assert most[0] == _MAX_LANES
 
-    def test_first_failing_lane_in_input_order_raises(self, monkeypatch):
+    def test_first_failing_lane_in_input_order_raises(self, on_cpus):
         def lane(x):
             if x == 1:
                 time.sleep(0.05)  # fails after lane 2 has
@@ -577,31 +613,47 @@ class TestLanes:
             return x
 
         with pytest.raises(ValueError, match="lane 1"):
-            _on_cpus(monkeypatch, 3, lambda: _map_lanes(lane, [0, 1, 2]))
+            on_cpus(3, lambda: map_lanes(lane, [0, 1, 2]))
+
+    def test_no_lane_takes_an_item_after_a_failure(self, on_cpus):
+        caller, log = threading.get_ident(), []
+
+        def lane(x):
+            log.append(("start", x))
+            if threading.get_ident() != caller:  # the helper fails on its first item
+                log.append(("fail", x))
+                raise ValueError(f"lane {x}")
+            time.sleep(0.05)  # the calling lane outlasts the failure
+            return x
+
+        with pytest.raises(ValueError, match="lane"):
+            on_cpus(2, lambda: map_lanes(lane, range(10)))
+        failed = log.index(next(e for e in log if e[0] == "fail"))
+        assert log[failed + 1:] == []
 
     @pytest.mark.parametrize("protocol", _PROTOCOLS)
-    def test_fi_rows_do_not_depend_on_the_thread_count(self, protocol, monkeypatch):
+    def test_fi_rows_do_not_depend_on_the_thread_count(self, protocol, on_cpus):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
 
         def rows():
             return fi_curve(p, [0.38, 0.44, 0.47, 0.50], spikes_per_point=8, timeout=0.1,
                             protocol=protocol)
 
-        serial = _on_cpus(monkeypatch, 1, rows)
-        assert repr(_on_cpus(monkeypatch, 4, rows)) == repr(serial)
+        serial = on_cpus(1, rows)
+        assert repr(on_cpus(4, rows)) == repr(serial)
         assert serial[0][1] == 0.0 and all(r > 0.0 for _, r, _ in serial[1:])
 
     @pytest.mark.parametrize("protocol", _PROTOCOLS)
-    def test_tuning_map_counts_do_not_depend_on_the_thread_count(self, protocol, monkeypatch):
+    def test_tuning_map_counts_do_not_depend_on_the_thread_count(self, protocol, on_cpus):
         def counts():
             return tuning_map(CircuitParams(), [120e-12, 150e-12, 180e-12], [0.85, 0.85, 0.86],
                               _SHORT_CHIRP, protocol=protocol).counts
 
-        serial = _on_cpus(monkeypatch, 1, counts)
-        assert np.array_equal(_on_cpus(monkeypatch, 4, counts), serial)
+        serial = on_cpus(1, counts)
+        assert np.array_equal(on_cpus(4, counts), serial)
         assert serial.shape == (3, 2) and np.count_nonzero(serial.sum(axis=1)) >= 2
 
-    def test_acks_running_out_in_a_middle_lane_fail_alike(self, monkeypatch):
+    def test_acks_running_out_in_a_middle_lane_fail_alike(self, on_cpus):
         short = dataclasses.replace(_SCRIPTED, ack_delays=_SCRIPTED.ack_delays[:10])
         bias, vth = [120e-12, 150e-12, 180e-12], [0.90, 0.85, 0.90]
         for i in (0, 2):  # the outer rows stay within ten acknowledges, the middle one does not
@@ -613,7 +665,7 @@ class TestLanes:
         errors = []
         for cpus in (1, 4):
             with pytest.raises(ProtocolError) as info:
-                _on_cpus(monkeypatch, cpus, run)
+                on_cpus(cpus, run)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith("scripted acknowledge list exhausted at event 10")

@@ -535,6 +535,16 @@ class TestCli:
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["ringdown", "fi", "chirp", "sweep-bias"])
+    def test_only_montecarlo_takes_a_seed(self, command, tmp_path, capsys):
+        # no other subcommand samples, so a --seed would only be written into
+        # effective_config.yaml as if the run had used it
+        with pytest.raises(SystemExit) as info:
+            main([command, "--seed", "5", "--outdir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_with_one_point_exit_code(self, tmp_path, capsys):
         doc = yaml.safe_load(FAST_CONFIG)
         doc["sweep"]["n_points"] = 1

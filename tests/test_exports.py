@@ -41,17 +41,49 @@ def test_no_module_imports_a_private_name_from_another():
 
 def test_every_metric_lives_in_analysis():
     assert experiments.ringdown_metrics is analysis.ringdown_metrics
-    for name in ("ringdown_metrics", "firing_rate", "FiringRate"):
+    for name in ("ringdown_metrics", "firing_rate", "FiringRate", "linear_fit"):
         assert getattr(analysis, name).__module__ == "rfneuron.analysis"
     assert rfneuron.firing_rate is analysis.firing_rate
     assert rfneuron.FiringRate is analysis.FiringRate
+    assert rfneuron.linear_fit is analysis.linear_fit
     assert not hasattr(handshake, "np")
+
+
+def test_one_parallel_mechanism():
+    # every lane runs on analysis.map_lanes's threads: no process pool and no executor
+    imported = {}  # each part of an absolutely imported dotted name -> the files importing it
+    for path in sorted(Path(rfneuron.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for part in (p for name in names for p in name.split(".")):
+                imported.setdefault(part, set()).add(path.name)
+    for forbidden in ("concurrent", "multiprocessing", "ProcessPoolExecutor"):
+        assert forbidden not in imported
+    assert imported["threading"] == {"analysis.py"}
 
 
 def test_import_loads_no_scipy():
     # scipy's import alone took ~1.3 s of every CLI start, for one peak search
     code = ("import sys, rfneuron, rfneuron.cli; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ""
+
+
+def test_ringdown_and_line_fit_load_no_numpy_ma():
+    # np.median imports numpy.ma, which with its first call cost 1.7 MB of peak memory
+    code = ("import sys; from rfneuron import CircuitParams, linear_fit; "
+            "from rfneuron.experiments import RingdownSetup, run_ringdown; "
+            "run_ringdown(CircuitParams(), RingdownSetup(horizon=0.02, settle_window=0.005)); "
+            "linear_fit([1.0, 2.0, 3.0], [2.0, 4.1, 5.9]); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)

@@ -294,6 +294,15 @@ class TestIntegrate:
         if len(isis) >= 2:
             assert np.std(isis) / np.mean(isis) < 0.05
 
+    def test_default_handshake_holds_as_long_as_no_handshake_config(self):
+        # HandshakeConfig() and protocol=None (the neuron's T_spk) are one default hold
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        args = (equilibrium_state(p), p, step(0.0, 0.0, 0.5, Polarity.EXC),
+                IntegratorConfig(t_end=0.02))
+        default = outcome(integrate, args)
+        assert default == outcome(lambda *a: integrate(*a, HandshakeConfig()), args)
+        assert HandshakeConfig().T_spk == p.T_spk and default[1].count("SpikeEvent") >= 3
+
     def test_clamp_exactness_and_extra_samples(self):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
         prog = step(0.0, 0.0, 0.5, Polarity.EXC)

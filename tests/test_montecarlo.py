@@ -3,11 +3,17 @@
 import dataclasses
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from rfneuron import CircuitParams, MismatchModel, derive_params, montecarlo, sample_die
+from rfneuron import (
+    CircuitParams, ConfigError, MismatchModel, analysis, derive_params, montecarlo, sample_die,
+)
+from rfneuron.analysis import _MAX_LANES
 from rfneuron.cli import main
 from rfneuron.experiments import RingdownSetup
 from rfneuron.integrator import IntegratorConfig
@@ -154,49 +160,55 @@ class TestRunPopulation:
         assert lines[0].startswith("die,baseline_U")
         assert len(lines) == 5
 
-    @pytest.mark.parametrize("cpus, processes", [(64, 3), (2, 2), (None, None)])
-    def test_pool_size_is_capped(self, monkeypatch, cpus, processes):
-        sizes, _ = self.install_inline_pool(monkeypatch, cpus)
+    @pytest.mark.parametrize("n_dies, cpus, workers, lanes", [
+        (2, 64, 5000, 2), (4, None, 5000, 1), (4, 1, 5000, 1), (4, 64, 2, 2),
+        (8, 64, 5000, _MAX_LANES), (8, 64, 1, 1)])
+    def test_lane_count_is_capped(self, monkeypatch, n_dies, cpus, workers, lanes):
+        # the calling thread is one lane, and every other lane is a thread it starts
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(analysis, "Thread", CountedThread)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_population(CircuitParams(), MismatchModel(seed=77), n_dies, fast_setup(),
+                       workers=workers)
+        assert len(started) == lanes - 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_results_do_not_depend_on_the_lane_count(self, on_cpus):
         base, m = CircuitParams(), MismatchModel(seed=77)
-        serial = run_population(base, m, 3, fast_setup(), workers=1)
-        stats = run_population(base, m, 3, fast_setup(), workers=5000)
-        assert sizes == ([] if processes is None else [processes])
-        assert stats.records == serial.records
-        assert stats.n_resampled == serial.n_resampled
+        runs = {(cpus, workers): on_cpus(cpus, lambda: run_population(
+                    base, m, 5, fast_setup(), workers=workers))
+                for cpus in (1, 4) for workers in (1, 2, 5000)}
+        serial = runs[1, 1]
+        assert serial.stats["f_res"]["n_defined"] == 5
+        for stats in runs.values():
+            assert repr(stats.records) == repr(serial.records)
+            assert repr(stats.stats) == repr(serial.stats)
+            assert stats.n_resampled == serial.n_resampled
 
-    @pytest.mark.parametrize("n_dies, workers, chunksize",
-                             [(2, 2, 1), (4, 2, 2), (5, 2, 3), (8, 2, 4), (7, 3, 3)])
-    def test_every_process_gets_one_chunk(self, monkeypatch, n_dies, workers, chunksize):
-        # a population of 4 dies in chunks of 4 ran on one worker of the pool
-        _, chunks = self.install_inline_pool(monkeypatch, cpus=64)
-        setup = RingdownSetup(t0=1e-3, width=1e-4, horizon=0.01, settle_window=2e-3,
-                              integrator=IntegratorConfig(t_end=0.01))
-        run_population(CircuitParams(), MismatchModel(seed=77), n_dies, setup, workers=workers)
-        assert chunks == [chunksize]
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_failing_die_stops_the_dies_after_it(self, monkeypatch, on_cpus, cpus):
+        sample, started = montecarlo._sample_die_counted, []
 
-    @staticmethod
-    def install_inline_pool(monkeypatch, cpus):
-        """A stand-in pool that records its size and chunk size and maps in-process,
-        so no process starts."""
-        sizes, chunks = [], []
+        def sample_or_fail(base, m, die_index):
+            started.append(die_index)
+            if die_index in (3, 4):
+                raise ConfigError(f"die {die_index}: no valid draw")
+            time.sleep(0.1)  # the lanes of dies 0-2 and 5 outlast the failure of die 3
+            return sample(base, m, die_index)
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                chunks.append(chunksize)
-                return map(fn, jobs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        return sizes, chunks
+        monkeypatch.setattr(montecarlo, "_sample_die_counted", sample_or_fail)
+        with pytest.raises(ConfigError, match="die 3"):
+            on_cpus(cpus, lambda: run_population(CircuitParams(), MismatchModel(seed=77), 8,
+                                                 fast_setup(), workers=5000))
+        assert set(range(4)) <= set(started) <= set(range(6))
+        if cpus == 1:
+            assert started == [0, 1, 2, 3]
 
     def test_worker_pool_matches_sequential(self):
         base = CircuitParams()
