@@ -32,12 +32,15 @@ which :func:`ringdown_metrics` turns into a flag; a ``ValueError`` is a
 caller error, such as a settle window longer than the trace, and propagates.
 
 Independent runs (the levels of :func:`fi_curve`, the rows of
-:func:`tuning_map` and the dies of ``montecarlo.run_population``) go
-through :func:`map_lanes`, the package's one parallel mechanism: the
-calling thread and up to two helper threads take the runs one by one.  A
-run spends nearly all of its time in the compiled span runner, which
-``ctypes`` calls with the GIL released, so the lanes run in parallel in one
-process: no fork, no pickling and no second copy of the process's memory.
+:func:`tuning_map`, the points of ``experiments.run_bias_sweep``, the dies
+of ``montecarlo.run_population``, and the chirp raster of ``rfneuron chirp``
+beside its one-row tuning maps) go through :func:`map_lanes`, the package's
+one parallel mechanism: the calling thread and up to two helper threads
+take the runs one by one.  A :func:`map_lanes` call with one item starts no
+thread, so a one-row map inside a lane runs on that lane.  A run spends
+nearly all of its time in the compiled span runner, which ``ctypes`` calls
+with the GIL released, so the lanes run in parallel in one process: no
+fork, no pickling and no second copy of the process's memory.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ which steps each point by 1/450 of its nominal period.  ``--seed`` sets
 the mismatch seed and is taken by ``montecarlo`` alone, the one subcommand
 that samples.
 
+``chirp --full-map`` runs the raster and every tuning-map row, each a
+one-row map, as independent runs on ``analysis.map_lanes``.  Its files are
+written once every run has returned, so a run that fails leaves no raster
+files in the outdir.
+
 A subcommand that returns also writes effective_config.yaml, the fully
 defaulted configuration.  Every result file goes through :func:`write_csv`
 or :func:`write_json`.  A CSV float cell has 12 significant digits
@@ -42,12 +47,13 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import fi_curve, linear_fit, tuning_map
+from .analysis import TuningMap, fi_curve, linear_fit, map_lanes, tuning_map
 from .config import ExperimentConfig, dump_effective_config, load_config
 from .errors import ConfigError, ProtocolError, UndefinedMetricError
 from .experiments import run_bias_sweep, run_chirp, run_ringdown
@@ -138,7 +144,13 @@ def cmd_fi(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_chirp(cfg: ExperimentConfig, out: Path, args) -> int:
-    trace, events, prog = run_chirp(cfg.neuron, cfg.chirp, cfg.handshake)
+    prog = cfg.chirp.program(v_limit=cfg.neuron.V_DD)
+    bias, vth = (cfg.chirp.bias_levels(), cfg.chirp.vth_schedule()) if args.full_map else ([], [])
+    runs = [partial(run_chirp, cfg.neuron, cfg.chirp, cfg.handshake), *(
+        partial(tuning_map, cfg.neuron, [b], [v], prog,
+                cfg=cfg.chirp.integrator_config(prog), protocol=cfg.handshake)
+        for b, v in zip(bias, vth))]
+    (trace, events, _), *rows = map_lanes(lambda run: run(), runs)
     blocks = prog.freq_blocks
     write_csv(out / "chirp_raster.csv", ("index", "t_req_s", "t_release_s", "block_freq_Hz"),
               ((e.index, e.t_req, e.t_release, blocks[prog.block_index(e.t_req)].frequency)
@@ -146,10 +158,8 @@ def cmd_chirp(cfg: ExperimentConfig, out: Path, args) -> int:
     _write_trace(out / "chirp_trace.csv", trace)
     summary = {"n_spikes": len(events)}
     if args.full_map:
-        tm = tuning_map(
-            cfg.neuron, cfg.chirp.bias_levels(), cfg.chirp.vth_schedule(),
-            prog, cfg=cfg.chirp.integrator_config(prog), protocol=cfg.handshake,
-        )
+        tm = TuningMap(tuple(bias), rows[0].frequencies, tuple(vth),
+                       np.concatenate([row.counts for row in rows]))
         counts = tm.counts.tolist()
         write_csv(out / "tuning_map.csv", ("bias_A\\freq_Hz", *tm.frequencies),
                   ((b, *row) for b, row in zip(tm.bias_levels, counts)))

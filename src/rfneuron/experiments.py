@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import MetricsRecord, ringdown_metrics
+from .analysis import MetricsRecord, map_lanes, ringdown_metrics
 from .core import CircuitParams, NeuronState, derive_params
 from .errors import (
     ConfigError, require_count, require_finite, require_member, require_positive,
@@ -107,6 +107,11 @@ class ChirpSetup:
             raise ConfigError(
                 f"vth_anchor_min={self.vth_anchor_min!r} must be below "
                 f"vth_anchor_max={self.vth_anchor_max!r}"
+            )
+        if self.n_bias > 1 and not self.bias_min < self.bias_max:
+            raise ConfigError(
+                f"chirp bias levels must increase: bias_min={self.bias_min!r} "
+                f"must be below bias_max={self.bias_max!r}"
             )
 
     def program(self, v_limit: float) -> StimulusProgram:
@@ -226,12 +231,15 @@ def run_bias_sweep(
 
     Each point runs a small-signal ringdown with the step size and horizon
     rescaled to its nominal period.  Points whose oscillation could not be
-    measured are flagged (``f_res`` NaN), never dropped.
+    measured are flagged (``f_res`` NaN), never dropped.  The points run on
+    :func:`~rfneuron.analysis.map_lanes`, one lane per CPU up to its cap,
+    and the rows come back in bias order whatever the lane count.  There is
+    no option for it.
     """
     if setup is None:
         setup = SweepSetup()
-    rows: list[dict] = []
-    for I in setup.levels():
+
+    def point(I: float) -> dict:
         p = replace(base, I_IU=I, I_IV=I)
         dp = derive_params(p)
         f_nom = dp.f_res
@@ -245,13 +253,12 @@ def run_bias_sweep(
             settle_window=horizon / 6.0,
             integrator=IntegratorConfig(dt=dt, t_end=horizon, sample_stride=5),
         )
-        trace, _, metrics = run_ringdown(p, rd)
-        rows.append(
-            {
-                "I_A": I,
-                "f_res_Hz": metrics.f_res,
-                "f_analytic_Hz": f_nom,
-                "flags": ";".join(metrics.flags),
-            }
-        )
-    return rows
+        _, _, metrics = run_ringdown(p, rd)
+        return {
+            "I_A": I,
+            "f_res_Hz": metrics.f_res,
+            "f_analytic_Hz": f_nom,
+            "flags": ";".join(metrics.flags),
+        }
+
+    return map_lanes(point, setup.levels())

@@ -22,6 +22,7 @@ from rfneuron import (
     Trace,
     UndefinedMetricError,
     derive_params,
+    experiments,
     extract_baseline,
     extract_first_peak,
     fi_curve,
@@ -45,7 +46,9 @@ from rfneuron.analysis import (
     ringdown_metrics,
 )
 from rfneuron.cli import write_csv, write_json
-from rfneuron.experiments import RingdownSetup, run_chirp, run_ringdown
+from rfneuron.experiments import (
+    RingdownSetup, SweepSetup, run_bias_sweep, run_chirp, run_ringdown,
+)
 from rfneuron.stimuli import Polarity
 
 
@@ -669,3 +672,29 @@ class TestLanes:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith("scripted acknowledge list exhausted at event 10")
+
+    def test_bias_sweep_rows_do_not_depend_on_the_thread_count(self, on_cpus):
+        setup = SweepSetup(I_min=50e-12, I_max=400e-12, n_points=4)
+
+        def rows():
+            return run_bias_sweep(CircuitParams(), setup)
+
+        serial = on_cpus(1, rows)
+        assert repr(on_cpus(4, rows)) == repr(serial)
+        assert [r["I_A"] for r in serial] == setup.levels()
+        assert all(math.isfinite(r["f_res_Hz"]) for r in serial)
+
+    def test_first_failing_sweep_point_in_input_order_raises(self, on_cpus, monkeypatch):
+        setup = SweepSetup(I_min=50e-12, I_max=400e-12, n_points=4)
+        levels = setup.levels()
+
+        def ringdown(p, rd):
+            if p.I_IU == levels[1]:
+                time.sleep(0.2)  # fails after point 3 has
+            if p.I_IU in (levels[1], levels[3]):
+                raise UndefinedMetricError(f"point {levels.index(p.I_IU)}")
+            return run_ringdown(p, rd)
+
+        monkeypatch.setattr(experiments, "run_ringdown", ringdown)
+        with pytest.raises(UndefinedMetricError, match="point 1"):
+            on_cpus(4, lambda: run_bias_sweep(CircuitParams(), setup))

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+import threading
 from enum import Enum
 from pathlib import Path
 
@@ -597,6 +598,7 @@ class TestCli:
         ("sweep-bias", "sweep: {I_min: -1.0e-11}"),
         ("chirp", "chirp: {n_bias: -1}"),
         ("chirp", "chirp: {bias_min: -1.0e-10}"),
+        ("chirp", "chirp: {n_bias: 2, bias_min: 1.3e-10, bias_max: 1.2e-10}"),
         ("ringdown", "ringdown: {settle_window: -1.0}"),
         ("ringdown", "ringdown: {settle_window: 0.5}"),  # longer than the 0.3 s horizon
     ])
@@ -670,6 +672,65 @@ class TestCli:
         assert seen[0][0] == 1
         assert seen[0][1].startswith(
             "protocol error: scripted acknowledge list exhausted at event 2")
+
+    @pytest.mark.parametrize("handshake", [
+        pytest.param({}, id="self-ack"),
+        pytest.param({"mode": "scripted_ack", "ack_delays": [20e-6 * (i % 4) for i in range(40)]},
+                     id="scripted-ack"),
+    ])
+    def test_full_map_outdir_does_not_depend_on_the_thread_count(self, handshake, tmp_path,
+                                                                  on_cpus):
+        path = tmp_path / "chirp.yaml"
+        path.write_text(yaml.safe_dump({**yaml.safe_load(FAST_CONFIG), "handshake": handshake}))
+        outs = []
+        for cpus in (1, 4):
+            outs.append(tmp_path / f"o{cpus}")
+            argv = ["chirp", "--config", str(path), "--outdir", str(outs[-1]), "--full-map"]
+            assert on_cpus(cpus, lambda: main(argv)) == 0
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        assert "tuning_map.csv" in names
+        for name in names:
+            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+    def test_raster_runs_beside_the_map_rows(self, fast_config, tmp_path, monkeypatch, on_cpus):
+        # the raster and the first tuning-map row each wait until the other has started
+        barrier = threading.Barrier(2, timeout=30)
+        first_bias = load_config(fast_config).chirp.bias_levels()[0]
+        run_chirp, tuning_map = cli.run_chirp, cli.tuning_map
+
+        def raster(*args, **kwargs):
+            barrier.wait()
+            return run_chirp(*args, **kwargs)
+
+        def row(neuron, bias_levels, *args, **kwargs):
+            if bias_levels[0] == first_bias:
+                barrier.wait()
+            return tuning_map(neuron, bias_levels, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_chirp", raster)
+        monkeypatch.setattr(cli, "tuning_map", row)
+        argv = ["chirp", "--config", str(fast_config), "--outdir", str(tmp_path / "o"),
+                "--full-map"]
+        assert on_cpus(2, lambda: main(argv)) == 0
+
+    def test_exhausted_scripted_acks_in_a_map_row_fail_alike(self, tmp_path, capsys, on_cpus):
+        # at V_th 0.9 the raster spikes twice and the second row three times, so the two
+        # acknowledges run out in a row's lane, after the raster has run
+        path = tmp_path / "acks.yaml"
+        path.write_text(FAST_CONFIG + "neuron: {V_th: 0.9}\n"
+                        "handshake: {mode: scripted_ack, ack_delays: [0.0, 0.0]}\n")
+        seen = []
+        for cpus in (1, 4):
+            out = tmp_path / f"o{cpus}"
+            argv = ["chirp", "--config", str(path), "--outdir", str(out), "--full-map"]
+            seen.append((on_cpus(cpus, lambda: main(argv)), capsys.readouterr().err))
+            assert list(out.iterdir()) == []  # files are written once every lane has returned
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 1
+        assert seen[0][1].startswith(
+            "protocol error: scripted acknowledge list exhausted at event 2")
+        assert seen[0][1].count("\n") == 1
 
     @pytest.mark.parametrize("command, doc, argv", [
         pytest.param("fi", "handshake: {mode: 3}", [], id="mode"),
@@ -823,6 +884,7 @@ def _setup_section(name: str):
 @example(("sweep", {"I_min": -1e-11}))
 @example(("chirp", {"n_bias": -1}))
 @example(("chirp", {"bias_min": -1e-10}))
+@example(("chirp", {"n_bias": 2, "bias_min": 1.3e-10, "bias_max": 1.2e-10}))
 @example(("ringdown", {"settle_window": 0.5}))
 @example(("integrator", {"sample_stride": 5.0}))
 @example(("chirp", {"sample_stride": 2.5}))

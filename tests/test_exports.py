@@ -67,6 +67,23 @@ def test_one_parallel_mechanism():
     assert imported["threading"] == {"analysis.py"}
 
 
+def test_only_analysis_and_experiments_call_integrate():
+    # the benchmark's traced runs wrap analysis.integrate and experiments.integrate and
+    # sum their simulated time; an integrate() called from elsewhere is missing from it
+    importing, calling = set(), set()
+    for path in sorted(Path(rfneuron.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("integrator",
+                                                                    "rfneuron.integrator"):
+                if "integrate" in (a.name for a in node.names):
+                    importing.add(path.name)
+            elif isinstance(node, ast.Call) and "integrate" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calling.add(path.name)
+    assert importing == {"__init__.py", "analysis.py", "experiments.py"}  # the root re-exports
+    assert calling == {"analysis.py", "experiments.py"}
+
+
 def test_import_loads_no_scipy():
     # scipy's import alone took ~1.3 s of every CLI start, for one peak search
     code = ("import sys, rfneuron, rfneuron.cli; "
