@@ -9,7 +9,9 @@ spike events of driven runs.  Every metric of a run is computed here.
 Frequency uses two independent estimators: the median of inverse
 peak-to-peak intervals and the interpolated maximum of a Hann-windowed
 spectrum.  Records where the two disagree by more than 2% are flagged
-rather than silently trusted.
+rather than silently trusted.  The spectrum is taken of the last m samples,
+m the largest 2^a 3^b 5^c not above the sample count (6000 of 6001), a
+length the FFT transforms without its slow general-length path.
 
 Every peak comes from one search.  A local maximum is a rise followed by a
 fall; a flat top counts once, at its middle sample ``(left + right) // 2``,
@@ -22,7 +24,7 @@ dropped.  These are the usual signal-processing definitions (a
 to such a reference implementation index for index.  A peak needs a rise
 before it and a fall after it, so it is never the first or last sample, and
 its time and value are refined by a parabola through it and both neighbours,
-for all peaks at once.
+for all peaks at once, or for the first alone where only it is read.
 
 The frequency and Q estimates read the same peaks of the unclamped V
 samples.  Each public extractor searches its trace itself;
@@ -49,6 +51,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from threading import Lock, Thread
 
 import numpy as np
@@ -180,9 +183,16 @@ def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
     the same, so the search runs over the peaks alone: one ``reduceat`` gives the
     minimum between neighbouring peaks, and ``_lowest_back_to_higher``
     merges those minima out to the next higher peak on each side.
+
+    Between two neighbouring peaks the samples fall to one valley and rise
+    again, and the nearest strictly higher sample lies beyond that valley,
+    so each of a peak's two minima is at most its neighbouring gap.
+    ``height - max(gap_left, gap_right)`` is then a lower bound on the
+    prominence; when it clears ``min_prominence`` for every peak, as on a
+    clean ringdown, every peak is kept and the two stack passes are skipped.
     """
     d = np.diff(x)
-    moves = np.flatnonzero(d)
+    moves = np.flatnonzero(d != 0.0)
     rising = d[moves] > 0.0
     top = rising[:-1] & ~rising[1:]
     peaks = (moves[:-1][top] + 1 + moves[1:][top]) // 2
@@ -190,8 +200,11 @@ def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
         return peaks
     # gaps[k] is the minimum between peak k-1 (or the start) and peak k; the
     # last entry runs from the last peak to the end
-    gaps = np.minimum.reduceat(x, np.concatenate(([0], peaks))).tolist()
+    gaps = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
     heights = x[peaks]
+    if np.all(heights - np.maximum(gaps[:-1], gaps[1:]) >= min_prominence):
+        return peaks
+    gaps = gaps.tolist()
     left = _lowest_back_to_higher(heights.tolist(), gaps[:-1])
     right = _lowest_back_to_higher(heights[::-1].tolist(), gaps[:0:-1])[::-1]
     prominence = heights - np.maximum(left, right)
@@ -215,19 +228,29 @@ def _lowest_back_to_higher(heights: list[float], gaps: list[float]) -> list[floa
     return lows
 
 
-def _channel_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prominence-filtered local maxima; times and values refined by parabolic fit.
+def _peak_indices(x: np.ndarray) -> np.ndarray:
+    """Indices of the prominence-filtered local maxima of one channel.
 
-    Every peak is interior, so each has both neighbours, and the fit runs on
-    all of them at once.  A non-finite sample makes the peaks undefined and
-    raises :class:`UndefinedMetricError`.
+    A non-finite sample makes the peaks undefined and raises
+    :class:`UndefinedMetricError`.
     """
     if not np.all(np.isfinite(x)):
         raise UndefinedMetricError("non-finite sample in the peak search")
-    # near the ends of the float range differences overflow to inf and the
-    # fit to nan, and a zero denominator is replaced below; none is an error
+    # near the ends of the float range differences overflow to inf; that is
+    # no error
     with np.errstate(all="ignore"):
-        i = _find_peaks(x, PEAK_MIN_PROMINENCE)
+        return _find_peaks(x, PEAK_MIN_PROMINENCE)
+
+
+def _refine(t: np.ndarray, x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of the peaks ``i`` of ``x``, refined by parabolic fit.
+
+    Every peak is interior, so each has both neighbours, and the fit runs on
+    all of them at once.
+    """
+    # near the ends of the float range the fit overflows to inf and nan, and
+    # a zero denominator is replaced below; none is an error
+    with np.errstate(all="ignore"):
         y0, y1, y2 = x[i - 1], x[i], x[i + 1]
         t1 = t[i]
         denom = y0 - 2.0 * y1 + y2
@@ -244,11 +267,17 @@ def _channel_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return times, values
 
 
+def _channel_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prominence-filtered local maxima; times and values refined by parabolic fit."""
+    return _refine(t, x, _peak_indices(x))
+
+
 def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
     """First local maximum of U and of V after the stimulus ends.
 
-    The channels are scanned independently; a channel with no detectable
-    peak (constant or monotone tail) raises :class:`UndefinedMetricError`.
+    The channels are scanned independently, and only the first peak of each
+    is refined; a channel with no detectable peak (constant or monotone
+    tail) raises :class:`UndefinedMetricError`.
     """
     sel = (tr.t >= t_stim_end) & ~tr.clamped
     if np.count_nonzero(sel) < 3:
@@ -256,10 +285,11 @@ def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
     t = tr.t[sel]
     out = []
     for x in (tr.U[sel], tr.V[sel]):
-        _, values = _channel_peaks(t, x)
-        if len(values) == 0:
+        i = _peak_indices(x)
+        if len(i) == 0:
             raise UndefinedMetricError("no local maximum after the stimulus")
-        out.append(values[0])
+        _, values = _refine(t, x, i[:1])
+        out.append(float(values[0]))
     return out[0], out[1]
 
 
@@ -281,13 +311,43 @@ def _median(x: np.ndarray) -> float:
     return (float(s[n // 2 - 1]) + float(s[n // 2])) / 2.0
 
 
+def _smooth_length(n: int) -> int:
+    """The largest 2^a 3^b 5^c not above ``n`` (at least 1)."""
+    best = 1
+    p5 = 1
+    while p5 <= n:
+        p35 = p5
+        while p35 <= n:
+            best = max(best, p35 << ((n // p35).bit_length() - 1))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@lru_cache(maxsize=None)
+def _hann(m: int) -> np.ndarray:
+    """``np.hanning(m)``, read-only and shared by every lane."""
+    w = np.hanning(m)
+    w.flags.writeable = False
+    return w
+
+
 def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
-    """Frequency of the tapered-spectrum maximum, parabolically interpolated."""
+    """Frequency of the tapered-spectrum maximum, parabolically interpolated.
+
+    The spectrum is taken of the last m samples, m the largest
+    2^a 3^b 5^c not above their count: a length with a large prime factor
+    (6001 = 17 * 353) sends the FFT down its slow general-length path.
+    Trimming keeps the window on signal; zero-padding to a fast length
+    would instead leak the mean into the lowest bins.
+    """
     n = len(x)
     if n < 16:
         raise UndefinedMetricError("trace too short for a spectral estimate")
+    m = _smooth_length(n)
+    t, x = t[n - m:], x[n - m:]
     dt = _median(np.diff(t))
-    y = (x - np.mean(x)) * np.hanning(n)
+    y = (x - np.mean(x)) * _hann(m)
     spec = np.abs(np.fft.rfft(y))
     spec[0] = 0.0
     k = int(np.argmax(spec))
@@ -300,7 +360,7 @@ def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
         delta = min(max(delta, -0.5), 0.5)
     else:
         delta = 0.0
-    return (k + delta) / (n * dt)
+    return float((k + delta) / (m * dt))
 
 
 def _free_v(tr: Trace) -> tuple[np.ndarray, np.ndarray]:

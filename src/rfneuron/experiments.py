@@ -43,6 +43,16 @@ SWEEP_STEPS_PER_PERIOD = 450.0
 SWEEP_PERIODS = 66.5
 
 
+def _require_increasing(levels: list[float], message: str) -> None:
+    """Raise ``ConfigError(message)`` unless ``levels`` strictly increase.
+
+    The levels are checked as computed: ``np.linspace`` and ``np.geomspace``
+    over bounds a few ulps apart repeat or reorder them.
+    """
+    if any(b >= c for b, c in zip(levels, levels[1:])):
+        raise ConfigError(message)
+
+
 @dataclass(frozen=True)
 class RingdownSetup:
     """Inhibitory-pulse ringdown protocol and its extraction windows."""
@@ -108,11 +118,9 @@ class ChirpSetup:
                 f"vth_anchor_min={self.vth_anchor_min!r} must be below "
                 f"vth_anchor_max={self.vth_anchor_max!r}"
             )
-        if self.n_bias > 1 and not self.bias_min < self.bias_max:
-            raise ConfigError(
-                f"chirp bias levels must increase: bias_min={self.bias_min!r} "
-                f"must be below bias_max={self.bias_max!r}"
-            )
+        _require_increasing(self.bias_levels(), "chirp bias levels must increase: "
+                            f"{self.n_bias} levels from bias_min={self.bias_min!r} "
+                            f"to bias_max={self.bias_max!r}")
 
     def program(self, v_limit: float) -> StimulusProgram:
         return spiking_chirp(
@@ -180,11 +188,9 @@ class FISetup:
         require_count(self, 1, "n_levels")
         require_count(self, 2, "spikes_per_point")  # a rate needs one inter-spike interval
         require_positive(self, "timeout")
-        if self.n_levels > 1 and not self.level_min < self.level_max:
-            raise ConfigError(
-                f"fi levels must increase: level_min={self.level_min!r} "
-                f"must be below level_max={self.level_max!r}"
-            )
+        _require_increasing(self.levels(), "fi levels must increase: "
+                            f"{self.n_levels} levels from level_min={self.level_min!r} "
+                            f"to level_max={self.level_max!r}")
 
     def levels(self) -> list[float]:
         return np.linspace(self.level_min, self.level_max, self.n_levels).tolist()

@@ -32,6 +32,7 @@ from rfneuron import (
     step,
     tuning_map,
 )
+from rfneuron import analysis
 from rfneuron.analysis import (
     FREQ_CONSISTENCY_TOL,
     PEAK_MIN_PROMINENCE,
@@ -39,8 +40,10 @@ from rfneuron.analysis import (
     TuningMap,
     _channel_peaks,
     _find_peaks,
+    _hann,
     _MAX_LANES,
     _median,
+    _smooth_length,
     map_lanes,
     resonant_frequency_estimates,
     ringdown_metrics,
@@ -156,6 +159,30 @@ _smooth = st.lists(st.floats(-1e-3, 1e-3), max_size=60).map(
     lambda xs: np.asarray(xs, dtype=float))
 
 
+# a tall peak and a shoulder on its flank: the valley between them is high, so
+# the neighbouring-gap bound decides neither; only the tall peak is prominent
+SHOULDER = np.array([0.0, 10.0, 9.5, 9.6, 0.0]) * PEAK_MIN_PROMINENCE
+
+
+def far_higher_neighbour(bump):
+    """A bump whose nearest higher peaks lie three peaks away on either side.
+
+    Its neighbouring valleys (0.5 and 0.6) sit far above its lowest
+    reaches (0.0 to the left, 0.2 to the right), so its prominence is
+    ``bump - 0.2``, all in units of the detection floor.
+    """
+    return np.array([1.0, 20.0, 0.0, 0.9, 0.3, 1.0, 0.5, bump, 0.6, 1.1, 0.2, 0.9, 0.4, 20.0,
+                     1.0]) * PEAK_MIN_PROMINENCE
+
+
+def spy(fn, calls):
+    """``fn``, appending its arguments to ``calls`` on each call."""
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
 @pytest.fixture(scope="module")
 def reference_find_peaks():
     """scipy's peak finder, the oracle; scipy is a test-only dependency."""
@@ -197,6 +224,31 @@ class TestFindPeaks:
             expected = reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0]
             assert len(expected) > 10
             np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+
+    @pytest.mark.parametrize("x, expected", [
+        (SHOULDER, [1]),
+        (far_higher_neighbour(1.21), [1, 7, 13]),
+        (far_higher_neighbour(1.19), [1, 13]),
+    ], ids=["shoulder", "bump-just-above", "bump-just-below"])
+    def test_peaks_the_gap_bound_leaves_undecided(self, reference_find_peaks,
+                                                  monkeypatch, x, expected):
+        stack_passes = []
+        monkeypatch.setattr(analysis, "_lowest_back_to_higher",
+                            spy(analysis._lowest_back_to_higher, stack_passes))
+        np.testing.assert_array_equal(reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0],
+                                      expected)
+        np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+        assert len(stack_passes) == 2  # the bound decided no search; the exact pass ran
+
+    def test_gap_bound_decides_a_clean_ringdown(self, reference_find_peaks, monkeypatch):
+        stack_passes = []
+        monkeypatch.setattr(analysis, "_lowest_back_to_higher",
+                            spy(analysis._lowest_back_to_higher, stack_passes))
+        x = synthetic_ringdown().V
+        expected = reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0]
+        assert len(expected) > 10
+        np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+        assert stack_passes == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_makes_every_peak_metric_undefined(self, bad):
@@ -332,11 +384,62 @@ class TestResonantFrequency:
         with pytest.raises(UndefinedMetricError):
             resonant_frequency_estimates(tr)
 
+    def test_prime_length_trace_within_oracle(self):
+        # 6007 is prime: the spectrum reads the last 6000 samples
+        tr = synthetic_ringdown(f=170.0, q=129.0)
+        n = 6007
+        tr = Trace(t=tr.t[:n], U=tr.U[:n], V=tr.V[:n], I_in=tr.I_in[:n],
+                   clamped=tr.clamped[:n], overflow=tr.overflow[:n])
+        assert largest_prime_factor(n) == n and _smooth_length(n) == 6000
+        assert resonant_frequency_estimates(tr)[1] == pytest.approx(170.0, rel=1e-2)
+        m = ringdown_metrics(tr, t_stim_end=2e-3, settle_window=tr.t[-1] / 5)
+        assert "freq-estimators-disagree" not in m.flags
+
     def test_sampling_rate_insensitivity(self):
         f = 170.0
         a = resonant_frequency_estimates(synthetic_ringdown(f=f, fs=300 * f))[0]
         b = resonant_frequency_estimates(synthetic_ringdown(f=f, fs=600 * f))[0]
         assert abs(a - b) / a < 1e-3
+
+
+def largest_prime_factor(n: int) -> int:
+    p, last = 2, 1
+    while p * p <= n:
+        while n % p == 0:
+            n, last = n // p, p
+        p += 1
+    return max(last, n)
+
+
+class TestSpectrumLength:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(16, 10**5))
+    def test_largest_5_smooth_length_not_above_n(self, n):
+        m = _smooth_length(n)
+        assert m <= n
+        assert largest_prime_factor(m) <= 5
+        assert all(largest_prime_factor(k) > 5 for k in range(m + 1, n + 1))
+
+    @pytest.mark.parametrize("n, m", [(6001, 6000), (1201, 1200), (5986, 5832)])
+    def test_known_lengths(self, n, m):
+        assert _smooth_length(n) == m
+
+    @pytest.mark.parametrize("m", [16, 1200, 6000])
+    def test_cached_window_is_hanning_and_read_only(self, m):
+        w = _hann(m)
+        assert_same_floats(w, np.hanning(m))
+        assert not w.flags.writeable
+        assert _hann(m) is w
+
+    def test_default_runs_transform_only_5_smooth_lengths(self, monkeypatch):
+        # a length with a large prime factor takes the FFT's slow general-length path
+        calls = []
+        monkeypatch.setattr(np.fft, "rfft", spy(np.fft.rfft, calls))
+        run_ringdown(CircuitParams())
+        run_bias_sweep(CircuitParams(), SweepSetup(n_points=1))
+        lengths = [len(a) for a, *_ in calls]
+        assert len(lengths) == 2
+        assert all(largest_prime_factor(n) <= 5 for n in lengths), lengths
 
 
 class TestFrequencyCrossCheck:
@@ -484,6 +587,25 @@ class TestSharedVSearch:
         assert flag in m.flags
         # repr tells a numpy scalar from a float and -0.0 from 0.0
         assert repr(m) == repr(metrics_one_by_one(tr, t_stim_end, settle_window))
+
+
+class TestFloatFields:
+    """Every metric is a Python float, as ``MetricsRecord`` declares, NaN included."""
+
+    @pytest.mark.parametrize("make, t_stim_end", [
+        (synthetic_ringdown, 2e-3),
+        (lambda: synthetic_ringdown(amp=0.0), 2e-3),
+        (lambda: run_ringdown(CircuitParams())[0], RingdownSetup().t0 + RingdownSetup().width),
+    ], ids=["synthetic", "flat", "simulated"])
+    def test_record_and_first_peak_are_floats(self, make, t_stim_end):
+        tr = make()
+        m = ringdown_metrics(tr, t_stim_end, tr.t[-1] / 5)
+        for field in dataclasses.fields(MetricsRecord):
+            if field.name != "flags":
+                assert type(getattr(m, field.name)) is float, field.name
+        if "no-peak" not in m.flags:
+            assert [type(v) for v in extract_first_peak(tr, t_stim_end)] == [float, float]
+            assert type(resonant_frequency_estimates(tr)[1]) is float
 
 
 class TestFICurve:

@@ -599,6 +599,9 @@ class TestCli:
         ("chirp", "chirp: {n_bias: -1}"),
         ("chirp", "chirp: {bias_min: -1.0e-10}"),
         ("chirp", "chirp: {n_bias: 2, bias_min: 1.3e-10, bias_max: 1.2e-10}"),
+        # bounds a few ulps apart: the computed levels repeat or reorder
+        ("fi", "fi: {level_min: 0.5, level_max: 0.5000000000000001, n_levels: 26}"),
+        ("chirp", "chirp: {n_bias: 3, bias_min: 1.05e-10, bias_max: 1.0500000000000001e-10}"),
         ("ringdown", "ringdown: {settle_window: -1.0}"),
         ("ringdown", "ringdown: {settle_window: 0.5}"),  # longer than the 0.3 s horizon
     ])
@@ -885,6 +888,8 @@ def _setup_section(name: str):
 @example(("chirp", {"n_bias": -1}))
 @example(("chirp", {"bias_min": -1e-10}))
 @example(("chirp", {"n_bias": 2, "bias_min": 1.3e-10, "bias_max": 1.2e-10}))
+@example(("fi", {"n_levels": 26, "level_min": 0.5, "level_max": 0.5000000000000001}))
+@example(("chirp", {"n_bias": 3, "bias_min": 1.05e-10, "bias_max": 1.0500000000000001e-10}))
 @example(("ringdown", {"settle_window": 0.5}))
 @example(("integrator", {"sample_stride": 5.0}))
 @example(("chirp", {"sample_stride": 2.5}))
