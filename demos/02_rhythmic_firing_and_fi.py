@@ -28,7 +28,7 @@ def main():
 
     # one suprathreshold run, to look at the spike train itself
     dp = derive_params(p)
-    prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+    prog = step(0.5, Polarity.EXC)
     cfg = IntegratorConfig(dt=1e-6, t_end=0.06, sample_stride=20)
     s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
     trace, events = integrate(s0, p, prog, cfg)

@@ -26,12 +26,14 @@ before it and a fall after it, so it is never the first or last sample, and
 its time and value are refined by a parabola through it and both neighbours,
 for all peaks at once, or for the first alone where only it is read.
 
-The frequency and Q estimates read the same peaks of the unclamped V
-samples.  Each public extractor searches its trace itself;
-:func:`ringdown_metrics` searches V once and hands the peaks to both.  A
-metric the trace does not support raises :class:`UndefinedMetricError`,
-which :func:`ringdown_metrics` turns into a flag; a ``ValueError`` is a
-caller error, such as a settle window longer than the trace, and propagates.
+The frequency and Q estimates read the same peaks of the V samples.  A
+trace with clamped samples has neither: the run fired, and its V samples
+hold a spike train, not a resonance.  Each public extractor searches its
+trace itself; :func:`ringdown_metrics` searches V once and hands the peaks
+to both.  A metric the trace does not support raises
+:class:`UndefinedMetricError`, which :func:`ringdown_metrics` turns into a
+flag; a ``ValueError`` is a caller error, such as a settle window longer
+than the trace, and propagates.
 
 Independent runs (the levels of :func:`fi_curve`, the rows of
 :func:`tuning_map`, the points of ``experiments.run_bias_sweep``, the dies
@@ -57,7 +59,7 @@ from threading import Lock, Thread
 import numpy as np
 
 from .core import CircuitParams, NeuronState, derive_params
-from .errors import UndefinedMetricError
+from .errors import UndefinedMetricError, require_increasing
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
 from .stimuli import StimulusProgram, step
@@ -67,6 +69,7 @@ __all__ = [
     "FiringRate",
     "TuningMap",
     "PEAK_MIN_PROMINENCE",
+    "MAX_LANES",
     "extract_baseline",
     "extract_first_peak",
     "resonant_frequency_estimates",
@@ -90,7 +93,7 @@ FREQ_CONSISTENCY_TOL = 0.02
 # of the default `fi` run went from 33.9 MB (one lane at a time) to
 # 36.0-37.1 MB at 4 lanes and 45.5 MB at 26; at 3 lanes it stays within 6%
 # (35.2-35.9 MB; `chirp --full-map` 36.5 -> 38.5 MB).
-_MAX_LANES = 3
+MAX_LANES = 3
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,7 @@ class TuningMap:
         if np.any(counts < 0):
             raise ValueError("tuning map counts must be non-negative")
         for name, axis in (("bias_levels", self.bias_levels), ("frequencies", self.frequencies)):
-            if any(b >= c for b, c in zip(axis, axis[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
+            require_increasing(axis, f"{name} must be strictly increasing")
         if len(self.vth_schedule) != len(self.bias_levels):
             raise ValueError("one threshold per bias row required")
 
@@ -364,9 +366,14 @@ def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
 
 
 def _free_v(tr: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Times and V of the unclamped samples, the channel of both V metrics."""
-    sel = ~tr.clamped
-    return tr.t[sel], tr.V[sel]
+    """Times and V of a trace that never fired, the channel of both V metrics.
+
+    A clamped sample means the run fired, and its V samples hold a spike
+    train, not a resonance; that raises :class:`UndefinedMetricError`.
+    """
+    if np.any(tr.clamped):
+        raise UndefinedMetricError("the trace holds clamped samples: the run fired")
+    return tr.t, tr.V
 
 
 def resonant_frequency_estimates(tr: Trace) -> tuple[float, float]:
@@ -402,7 +409,7 @@ def q_factor(tr: Trace) -> float:
     voltage and would tilt the fitted slope.
 
     A non-decaying envelope returns ``inf`` (undamped flag-equivalent); a
-    trace with fewer than 5 usable peaks raises
+    trace with fewer than 5 usable peaks, or with clamped samples, raises
     :class:`UndefinedMetricError`.
     """
     t, v = _free_v(tr)
@@ -452,8 +459,8 @@ def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> Metr
         first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
     except UndefinedMetricError:
         flags.append("no-peak")
-    t, v = _free_v(tr)
     try:
+        t, v = _free_v(tr)
         peaks = _channel_peaks(t, v)
     except UndefinedMetricError:
         flags += ["f-res-undefined", "q-undefined"]
@@ -476,8 +483,8 @@ def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> Metr
                          tuple(flags))
 
 
-def map_lanes(fn, items, lanes: int = _MAX_LANES) -> list:
-    """``[fn(x) for x in items]`` on ``min(len(items), os.cpu_count(), lanes, _MAX_LANES)`` lanes.
+def map_lanes(fn, items, lanes: int = MAX_LANES) -> list:
+    """``[fn(x) for x in items]`` on ``min(len(items), os.cpu_count(), lanes, MAX_LANES)`` lanes.
 
     The calling thread is one lane, and each further lane is a helper
     thread; with one lane no thread starts.  Each lane takes the next
@@ -508,7 +515,7 @@ def map_lanes(fn, items, lanes: int = _MAX_LANES) -> list:
                 return
 
     helpers = [Thread(target=lane)
-               for _ in range(min(len(items), os.cpu_count() or 1, lanes, _MAX_LANES) - 1)]
+               for _ in range(min(len(items), os.cpu_count() or 1, lanes, MAX_LANES) - 1)]
     for helper in helpers:
         helper.start()
     try:
@@ -576,12 +583,13 @@ def fi_curve(
     elapse; silence is a valid zero-rate outcome.  Returns rows of
     (level_V, rate_Hz, rate_std_Hz) in the order given; levels must be
     increasing, and ``spikes_per_point`` at least 2, since a rate needs one
-    inter-spike interval.  The levels run on :func:`map_lanes`, one lane per
-    CPU up to ``_MAX_LANES``, and the rows come back in level order whatever
-    the lane count.  There is no option for it.
+    inter-spike interval.  Each level drives the neuron with one constant
+    :func:`~rfneuron.stimuli.step` from t = 0.  The levels run on
+    :func:`map_lanes`, one lane per CPU up to ``MAX_LANES``, and the rows
+    come back in level order whatever the lane count.  There is no option
+    for it.
     """
-    if any(b >= c for b, c in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    require_increasing(levels, "levels must be strictly increasing")
     if spikes_per_point < 2:
         raise ValueError(f"spikes_per_point must be >= 2, got {spikes_per_point!r}")
     if cfg is None:
@@ -592,7 +600,7 @@ def fi_curve(
     s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
 
     def level_row(level: float) -> tuple[float, float, float]:
-        prog = step(0.0, 0.0, level, v_limit=p.V_DD)
+        prog = step(level, v_limit=p.V_DD)
         _, events = integrate(s0, p, prog, cfg, protocol, max_events=spikes_per_point)
         rate = firing_rate(events)
         return level, rate.mean_hz, 0.0 if not rate.defined else rate.std_hz
@@ -614,7 +622,7 @@ def tuning_map(
     applied, the chirp is simulated, and every output spike is binned by the
     frequency block active at its request time.  Spikes after the final
     block (free ringing of the tail) land in the last block.  The bias rows
-    run on :func:`map_lanes`, one lane per CPU up to ``_MAX_LANES``, and the
+    run on :func:`map_lanes`, one lane per CPU up to ``MAX_LANES``, and the
     counts come back in row order whatever the lane count.  There is no
     option for it.
     """

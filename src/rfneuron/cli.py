@@ -191,10 +191,8 @@ def cmd_sweep_bias(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_montecarlo(cfg: ExperimentConfig, out: Path, args) -> int:
     setup = cfg.montecarlo.ringdown(cfg.ringdown)
-    stats = run_population(
-        cfg.neuron, cfg.montecarlo.model, cfg.montecarlo.n_dies,
-        setup, workers=cfg.montecarlo.workers, protocol=cfg.handshake,
-    )
+    stats = run_population(cfg.neuron, cfg.montecarlo.model, cfg.montecarlo.n_dies, setup,
+                           protocol=cfg.handshake)
     write_json(out / "population.json", {
         "n_dies": stats.n_dies, "n_resampled": stats.n_resampled, "metrics": stats.stats,
     })

@@ -87,8 +87,8 @@ class CircuitParams:
     def __post_init__(self) -> None:
         # before the float conversion, which would turn True into 1.0
         require_finite(self)
-        # numpy scalars (e.g. from mismatch sampling) would slow every
-        # derivative evaluation that reads these fields
+        # a YAML integer or a numpy scalar from a mismatch draw becomes a
+        # plain float, like every other field
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, Real):

@@ -10,7 +10,7 @@ import numpy as np
 __all__ = [
     "ConfigError", "ProtocolError", "UndefinedMetricError",
     "require_finite", "require_member", "require_positive", "require_nonnegative",
-    "require_count",
+    "require_count", "require_increasing",
 ]
 
 
@@ -78,3 +78,13 @@ def require_count(obj, minimum: int, *names: str) -> None:
         value = getattr(obj, name)
         if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
             raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_increasing(values, message: str) -> None:
+    """Raise ``ConfigError(message)`` unless ``values`` strictly increase.
+
+    Computed levels are checked as computed: ``np.linspace`` and
+    ``np.geomspace`` over bounds a few ulps apart repeat or reorder them.
+    """
+    if any(b >= c for b, c in zip(values, values[1:])):
+        raise ConfigError(message)

@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import MetricsRecord, map_lanes, ringdown_metrics
 from .core import CircuitParams, NeuronState, derive_params
 from .errors import (
-    ConfigError, require_count, require_finite, require_member, require_positive,
+    ConfigError, require_count, require_finite, require_increasing, require_member,
+    require_positive,
 )
 from .handshake import HandshakeConfig, SpikeEvent
 from .integrator import IntegratorConfig, Trace, integrate
@@ -41,16 +42,6 @@ SWEEP_STEPS_PER_PERIOD = 450.0
 
 # Periods of ringdown simulated by sweep runners (0.3 s at 150 pA).
 SWEEP_PERIODS = 66.5
-
-
-def _require_increasing(levels: list[float], message: str) -> None:
-    """Raise ``ConfigError(message)`` unless ``levels`` strictly increase.
-
-    The levels are checked as computed: ``np.linspace`` and ``np.geomspace``
-    over bounds a few ulps apart repeat or reorder them.
-    """
-    if any(b >= c for b, c in zip(levels, levels[1:])):
-        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -118,9 +109,9 @@ class ChirpSetup:
                 f"vth_anchor_min={self.vth_anchor_min!r} must be below "
                 f"vth_anchor_max={self.vth_anchor_max!r}"
             )
-        _require_increasing(self.bias_levels(), "chirp bias levels must increase: "
-                            f"{self.n_bias} levels from bias_min={self.bias_min!r} "
-                            f"to bias_max={self.bias_max!r}")
+        require_increasing(self.bias_levels(), "chirp bias levels must increase: "
+                           f"{self.n_bias} levels from bias_min={self.bias_min!r} "
+                           f"to bias_max={self.bias_max!r}")
 
     def program(self, v_limit: float) -> StimulusProgram:
         return spiking_chirp(
@@ -188,9 +179,9 @@ class FISetup:
         require_count(self, 1, "n_levels")
         require_count(self, 2, "spikes_per_point")  # a rate needs one inter-spike interval
         require_positive(self, "timeout")
-        _require_increasing(self.levels(), "fi levels must increase: "
-                            f"{self.n_levels} levels from level_min={self.level_min!r} "
-                            f"to level_max={self.level_max!r}")
+        require_increasing(self.levels(), "fi levels must increase: "
+                           f"{self.n_levels} levels from level_min={self.level_min!r} "
+                           f"to level_max={self.level_max!r}")
 
     def levels(self) -> list[float]:
         return np.linspace(self.level_min, self.level_max, self.n_levels).tolist()

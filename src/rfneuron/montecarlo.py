@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import MetricsRecord, map_lanes
+from .analysis import MAX_LANES, MetricsRecord, map_lanes
 from .core import CircuitParams, derive_params
 from .errors import ConfigError, require_count, require_finite, require_nonnegative
 from .experiments import RingdownSetup, run_ringdown
@@ -72,22 +72,18 @@ class MonteCarloSetup:
 
     The per-die ringdown uses a gentler 0.4 V pulse than the standard
     characterization so that dies at the small-margin tail of the spread
-    still ring below threshold and yield well-defined metrics.  ``workers``
-    is :func:`run_population`'s cap on how many dies run at once.  The CPU
-    count and ``analysis.map_lanes``'s limit of three lanes cap them too, so
-    ``workers: 5000`` runs at most three dies at once.  The outputs do not
-    depend on it.
+    still ring below threshold and yield well-defined metrics.  The dies run
+    on ``analysis.map_lanes``, one lane per CPU up to ``MAX_LANES``, as every
+    other set of independent runs does.  There is no option for it.
     """
 
     n_dies: int = 100
     model: MismatchModel = MismatchModel()
     amplitude: float = 0.4
-    workers: int = 1
 
     def __post_init__(self) -> None:
         require_finite(self)
         require_count(self, 2, "n_dies")
-        require_count(self, 1, "workers")
 
     def ringdown(self, base: RingdownSetup) -> RingdownSetup:
         return replace(base, amplitude=self.amplitude)
@@ -167,15 +163,15 @@ def run_population(
     m: MismatchModel,
     n_dies: int,
     setup: RingdownSetup | None = None,
-    workers: int = 1,
+    workers: int = MAX_LANES,
     protocol: HandshakeConfig | None = None,
 ) -> PopulationStats:
     """Ringdown metrics and their spread over ``n_dies`` sampled dies.
 
     Dies are independent; they run on ``analysis.map_lanes`` with
     ``workers`` as its lane cap, so at most
-    ``min(n_dies, os.cpu_count(), workers, 3)`` dies run at once, the
-    calling thread being one of the lanes.  The result is identical to a
+    ``min(n_dies, os.cpu_count(), workers, MAX_LANES)`` dies run at once,
+    the calling thread being one of the lanes.  The result is identical to a
     sequential run, and a die that raises stops the dies not yet started.
     Every die's ringdown uses ``protocol`` (by default a self-acknowledge
     hold of the die's ``T_spk``).  Dies whose metric is undefined are

@@ -126,24 +126,25 @@ class StimulusProgram:
         return max(bisect.bisect_right(self._block_starts, t) - 1, 0)
 
 
+def _segment(t0: float, t1: float, v: float, polarity: Polarity) -> Segment:
+    """Drive ``v`` over [t0, t1) on the synapse that ``polarity`` names."""
+    if polarity is Polarity.EXC:
+        return Segment(t0, t1, v, 0.0)
+    return Segment(t0, t1, 0.0, v)
+
+
 def _onoff(spans: list[tuple[float, float]], amplitude: float, polarity: Polarity,
            v_limit: float, freq_blocks: tuple[FrequencyBlock, ...] | None = None,
            ) -> StimulusProgram:
     """Build a program that is ``amplitude`` inside the spans and 0 elsewhere."""
-    def seg(t0: float, t1: float, on: bool) -> Segment:
-        v = amplitude if on else 0.0
-        if polarity is Polarity.EXC:
-            return Segment(t0, t1, v, 0.0)
-        return Segment(t0, t1, 0.0, v)
-
     segments: list[Segment] = []
     cursor = 0.0
     for t0, t1 in spans:
         if t0 > cursor:
-            segments.append(seg(cursor, t0, False))
-        segments.append(seg(t0, t1, True))
+            segments.append(_segment(cursor, t0, 0.0, polarity))
+        segments.append(_segment(t0, t1, amplitude, polarity))
         cursor = t1
-    segments.append(seg(cursor, math.inf, False))
+    segments.append(_segment(cursor, math.inf, 0.0, polarity))
     return StimulusProgram(segments, v_limit=v_limit, freq_blocks=freq_blocks)
 
 
@@ -165,29 +166,12 @@ def pulse(
 
 
 def step(
-    t0: float,
-    baseline: float,
     level: float,
     polarity: Polarity = Polarity.EXC,
     v_limit: float = 1.5,
 ) -> StimulusProgram:
-    """Constant ``baseline`` drive switching to ``level`` at ``t0`` forever."""
-    for name, v in (("baseline", baseline), ("level", level)):
-        if not 0.0 <= v <= v_limit:
-            raise ConfigError(f"step {name} {v!r} outside [0, {v_limit}]")
-    if t0 < 0.0:
-        raise ConfigError(f"step time must be non-negative, got {t0!r}")
-
-    def seg(t_lo: float, t_hi: float, v: float) -> Segment:
-        if polarity is Polarity.EXC:
-            return Segment(t_lo, t_hi, v, 0.0)
-        return Segment(t_lo, t_hi, 0.0, v)
-
-    if t0 == 0.0 or baseline == level:
-        return StimulusProgram([seg(0.0, math.inf, level)], v_limit=v_limit)
-    return StimulusProgram(
-        [seg(0.0, t0, baseline), seg(t0, math.inf, level)], v_limit=v_limit
-    )
+    """Constant ``level`` drive from t = 0 on: one open-ended segment."""
+    return StimulusProgram([_segment(0.0, math.inf, level, polarity)], v_limit=v_limit)
 
 
 def spiking_chirp(

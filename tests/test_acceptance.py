@@ -97,7 +97,7 @@ def raster_run(params):
 @pytest.fixture(scope="module")
 def rhythmic_run(params):
     p = dataclasses.replace(params, V_th=0.840)
-    prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+    prog = step(0.5, Polarity.EXC)
     cfg = IntegratorConfig(dt=1e-6, t_end=0.1, sample_stride=20)
     dp = derive_params(p)
     s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
@@ -217,7 +217,7 @@ def test_criterion_5_lv_conservation():
     dp = derive_params(p)
     period = 1.0 / dp.f_res
     s0 = NeuronState(t=0.0, U=dp.U_star - 0.08, V=dp.V_star)
-    prog = step(0.0, 0.0, 0.0, Polarity.EXC)
+    prog = step(0.0, Polarity.EXC)
     h0 = lv_invariant(s0, p, 0.0)
     e0 = h0 - lv_invariant(NeuronState(t=0.0, U=dp.U_star, V=dp.V_star), p, 0.0)
     floor = LV_FLOOR_ULPS * np.finfo(float).eps * abs(h0) / e0
@@ -264,7 +264,7 @@ def test_criterion_6_linearization_agreement():
     s0 = NeuronState(t=0.0, U=dp.U_star + displacement, V=dp.V_star)
     period = 1.0 / dp.f_res
     cfg = IntegratorConfig(dt=period / 5000, t_end=period, sample_stride=10)
-    trace, _ = integrate(s0, p, step(0.0, 0.0, 0.0, Polarity.EXC), cfg)
+    trace, _ = integrate(s0, p, step(0.0, Polarity.EXC), cfg)
     x0 = LinearizedRFState(u=displacement, v=0.0, I=0.0, c=0.0)
     err = 0.0
     for t, u in zip(trace.t, trace.U):

@@ -35,13 +35,13 @@ from rfneuron import (
 from rfneuron import analysis
 from rfneuron.analysis import (
     FREQ_CONSISTENCY_TOL,
+    MAX_LANES,
     PEAK_MIN_PROMINENCE,
     MetricsRecord,
     TuningMap,
     _channel_peaks,
     _find_peaks,
     _hann,
-    _MAX_LANES,
     _median,
     _smooth_length,
     map_lanes,
@@ -89,7 +89,7 @@ class TestExtractBaseline:
         dp = derive_params(p)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.02, sample_stride=50)
         s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
-        tr, _ = integrate(s0, p, step(0.0, 0.0, 0.0, Polarity.EXC), cfg)
+        tr, _ = integrate(s0, p, step(0.0, Polarity.EXC), cfg)
         u, v = extract_baseline(tr, 5e-3)
         assert u == pytest.approx(dp.U_star, abs=1e-9)
         assert v == pytest.approx(dp.V_star, abs=1e-9)
@@ -588,6 +588,17 @@ class TestSharedVSearch:
         # repr tells a numpy scalar from a float and -0.0 from 0.0
         assert repr(m) == repr(metrics_one_by_one(tr, t_stim_end, settle_window))
 
+    def test_a_ringdown_that_fired_has_no_resonance(self):
+        # its V samples hold a spike train; their peak intervals read the firing rate
+        tr = _spiking_ringdown()
+        m = ringdown_metrics(tr, RingdownSetup().t0 + RingdownSetup().width, tr.t[-1] / 5)
+        assert math.isnan(m.f_res) and math.isnan(m.q_factor)
+        assert {"f-res-undefined", "q-undefined"} <= set(m.flags)
+        assert "infinite-q" not in m.flags
+        for extract in (q_factor, resonant_frequency_estimates):
+            with pytest.raises(UndefinedMetricError, match="clamped"):
+                extract(tr)
+
 
 class TestFloatFields:
     """Every metric is a Python float, as ``MetricsRecord`` declares, NaN included."""
@@ -725,9 +736,9 @@ class TestLanes:
                 live[0] -= 1
             return x
 
-        items = list(range(4 * _MAX_LANES))
+        items = list(range(4 * MAX_LANES))
         assert on_cpus(26, lambda: map_lanes(lane, items)) == items
-        assert most[0] == _MAX_LANES
+        assert most[0] == MAX_LANES
 
     def test_first_failing_lane_in_input_order_raises(self, on_cpus):
         def lane(x):

@@ -140,7 +140,7 @@ MALFORMED_YAML = [
 ]
 
 
-# each reaches a type's constructor or the ack_delays conversion, never the simulator
+# each is rejected while the config loads, and never reaches the simulator
 ILL_TYPED_VALUES = [
     pytest.param("handshake: {mode: 3}", r"'handshake': mode must be one of", id="mode"),
     pytest.param("handshake: {mode: foo}", r"'handshake': mode must be one of", id="mode-name"),
@@ -153,8 +153,9 @@ ILL_TYPED_VALUES = [
                  r"'handshake.ack_delays' entries must be numbers", id="ack_delays-null"),
     pytest.param("montecarlo: {n_dies: 2.5}", r"n_dies must be an integer >= 2, got 2.5",
                  id="n_dies"),
-    pytest.param("montecarlo: {workers: 1.5}", r"workers must be an integer >= 1, got 1.5",
-                 id="workers"),
+    # the dies take the lane count every run set takes; the old key is no longer read
+    pytest.param("montecarlo: {workers: 2}",
+                 r"^unknown key 'workers' in config section 'montecarlo'$", id="workers"),
     pytest.param("montecarlo: {model: {seed: 1.5}}", r"seed must be an integer >= 0, got 1.5",
                  id="seed-fraction"),
     pytest.param("montecarlo: {model: {seed: -1}}", r"seed must be an integer >= 0, got -1",
@@ -741,6 +742,7 @@ class TestCli:
         pytest.param("chirp", "chirp: {polarity: 1}", ["--full-map"], id="chirp.polarity"),
         pytest.param("fi", "handshake: {ack_delays: [null]}", [], id="ack_delays"),
         pytest.param("montecarlo", "montecarlo: {n_dies: 2.5}", [], id="n_dies"),
+        pytest.param("montecarlo", "montecarlo: {workers: 2}", [], id="workers"),
         pytest.param("montecarlo", "", ["--seed", "-1"], id="seed"),
         pytest.param("fi", "fi: {n_levels: true}", [], id="n_levels-boolean"),
         pytest.param("fi", "handshake: 5", [], id="handshake-scalar"),

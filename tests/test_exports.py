@@ -4,6 +4,7 @@ benchmark's traced call sites still exist."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import rfneuron
 from rfneuron import (
     CircuitParams, IntegratorConfig, NeuronState, analysis, derive_params, experiments,
-    handshake, integrator, step,
+    handshake, integrator, montecarlo, step,
 )
 
 MODULES = [m.name for m in pkgutil.iter_modules(rfneuron.__path__)]
@@ -126,6 +127,13 @@ def _traced_names(monkeypatch, capsys, run) -> set[str]:
     return {s.name for s in rec.spans}
 
 
+def test_benchmark_wrappers_install_on_the_package(monkeypatch, capsys):
+    # install() evaluates analysis.integrate and experiments.integrate and subclasses
+    # integrator.HandshakeFSM; the population workload passes run_population workers=2
+    _traced_names(monkeypatch, capsys, lambda: inspect.signature(montecarlo.run_population).bind(
+        CircuitParams(), montecarlo.MismatchModel(), 8, None, workers=2))
+
+
 def test_benchmark_tracing_still_wraps_the_ringdown_extraction(monkeypatch, capsys):
     setup = experiments.RingdownSetup(horizon=0.02, settle_window=0.005)
     names = _traced_names(monkeypatch, capsys,
@@ -139,7 +147,7 @@ def test_benchmark_tracing_still_wraps_the_event_path(monkeypatch, capsys):
 
     def run():
         _, events = integrator.integrate(NeuronState(t=0.0, U=dp.U_star, V=dp.V_star), p,
-                                         step(0.0, 0.0, 0.5), IntegratorConfig(t_end=0.01))
+                                         step(0.5), IntegratorConfig(t_end=0.01))
         assert len(events) >= 2
 
     names = _traced_names(monkeypatch, capsys, run)

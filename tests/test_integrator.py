@@ -48,7 +48,7 @@ def equilibrium_state(p: CircuitParams) -> NeuronState:
 
 
 def zero_program():
-    return step(0.0, 0.0, 0.0, Polarity.EXC)
+    return step(0.0, Polarity.EXC)
 
 
 def kernel_step(p, ref, I_in):
@@ -244,7 +244,7 @@ class TestRefineCrossing:
         # crossing_tol of the same event refined 1000x tighter, and never
         # before it: bisection returns the upper end of its bracket
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
 
         def first_t_req(tol):
             cfg = IntegratorConfig(dt=1e-6, t_end=0.05, crossing_tol=tol, sample_stride=50)
@@ -286,7 +286,7 @@ class TestIntegrate:
 
     def test_step_input_produces_rhythmic_firing(self):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.05, sample_stride=50)
         trace, events = integrate(equilibrium_state(p), p, prog, cfg)
         assert len(events) >= 2
@@ -297,7 +297,7 @@ class TestIntegrate:
     def test_default_handshake_holds_as_long_as_no_handshake_config(self):
         # HandshakeConfig() and protocol=None (the neuron's T_spk) are one default hold
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        args = (equilibrium_state(p), p, step(0.0, 0.0, 0.5, Polarity.EXC),
+        args = (equilibrium_state(p), p, step(0.5, Polarity.EXC),
                 IntegratorConfig(t_end=0.02))
         default = outcome(integrate, args)
         assert default == outcome(lambda *a: integrate(*a, HandshakeConfig()), args)
@@ -305,7 +305,7 @@ class TestIntegrate:
 
     def test_clamp_exactness_and_extra_samples(self):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.03, sample_stride=10)
         trace, events = integrate(equilibrium_state(p), p, prog, cfg)
         assert len(events) >= 1
@@ -322,7 +322,7 @@ class TestIntegrate:
 
     def test_no_event_inside_clamp_and_events_disjoint(self):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.05, sample_stride=50)
         _, events = integrate(equilibrium_state(p), p, prog, cfg)
         for a, b in zip(events, events[1:]):
@@ -330,7 +330,7 @@ class TestIntegrate:
 
     def test_event_completeness_on_sampled_trace(self):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.05, sample_stride=50)
         trace, events = integrate(equilibrium_state(p), p, prog, cfg)
         req_times = np.asarray([e.t_req for e in events])
@@ -346,7 +346,7 @@ class TestIntegrate:
 
     def test_max_events_stops_early(self):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.5, sample_stride=50)
         trace, events = integrate(equilibrium_state(p), p, prog, cfg, max_events=3)
         assert len(events) == 3
@@ -355,7 +355,7 @@ class TestIntegrate:
     def test_hold_past_horizon_ends_in_one_clamped_sample(self):
         # a release after t_end is never reached: the trace ends clamped at t_end
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(t_end=0.03)
         trace, events = integrate(equilibrium_state(p), p, prog, cfg, HandshakeConfig(T_spk=1.0))
         assert len(events) == 1 and events[0].t_release > cfg.t_end
@@ -371,7 +371,7 @@ class TestIntegrate:
         # with no grid sample but the start and t_end, every crossing and
         # release row lands beyond the initial buffer and must survive its growth
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.05, sample_stride=10**9)
         trace, events = integrate(equilibrium_state(p), p, prog, cfg)
         assert len(events) > 5 and events[-1].t_release < cfg.t_end
@@ -437,7 +437,7 @@ class TestIntegrate:
     def test_scripted_ack_exhaustion_propagates(self):
         from rfneuron import AckMode, ProtocolError
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.05, sample_stride=50)
         protocol = HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=60e-6,
                                    ack_delays=(0.0,))
@@ -454,7 +454,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("max_events", [0, -1])
     def test_max_events_below_one_rejected(self, max_events):
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         with pytest.raises(ValueError, match="max_events"):
             integrate(equilibrium_state(p), p, prog, IntegratorConfig(t_end=0.05),
                       max_events=max_events)
@@ -632,7 +632,7 @@ class TestStopSchedule:
     @example((  # rhythmic firing, every grid stop sampled, scripted acknowledges
         equilibrium_state(dataclasses.replace(CircuitParams(), V_th=0.84)),
         dataclasses.replace(CircuitParams(), V_th=0.84),
-        step(0.0, 0.0, 0.5, Polarity.EXC),
+        step(0.5, Polarity.EXC),
         IntegratorConfig(t_end=0.03, sample_stride=1),
         HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=60e-6,
                         ack_delays=(0.0, 1.234e-4, 2e-3, 0.0, 5e-5) * 4),

@@ -13,7 +13,7 @@ import pytest
 from rfneuron import (
     CircuitParams, ConfigError, MismatchModel, analysis, derive_params, montecarlo, sample_die,
 )
-from rfneuron.analysis import _MAX_LANES
+from rfneuron.analysis import MAX_LANES
 from rfneuron.cli import main
 from rfneuron.experiments import RingdownSetup
 from rfneuron.integrator import IntegratorConfig
@@ -162,9 +162,10 @@ class TestRunPopulation:
 
     @pytest.mark.parametrize("n_dies, cpus, workers, lanes", [
         (2, 64, 5000, 2), (4, None, 5000, 1), (4, 1, 5000, 1), (4, 64, 2, 2),
-        (8, 64, 5000, _MAX_LANES), (8, 64, 1, 1)])
+        (8, 64, 5000, MAX_LANES), (8, 64, 1, 1), (8, 64, None, MAX_LANES)])
     def test_lane_count_is_capped(self, monkeypatch, n_dies, cpus, workers, lanes):
-        # the calling thread is one lane, and every other lane is a thread it starts
+        # the calling thread is one lane, and every other lane is a thread it starts;
+        # workers None leaves the keyword out, as `rfneuron montecarlo` does
         started = []
 
         class CountedThread(threading.Thread):
@@ -174,8 +175,8 @@ class TestRunPopulation:
 
         monkeypatch.setattr(analysis, "Thread", CountedThread)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        run_population(CircuitParams(), MismatchModel(seed=77), n_dies, fast_setup(),
-                       workers=workers)
+        cap = {} if workers is None else {"workers": workers}
+        run_population(CircuitParams(), MismatchModel(seed=77), n_dies, fast_setup(), **cap)
         assert len(started) == lanes - 1
         assert not any(t.is_alive() for t in started)
 

@@ -65,20 +65,18 @@ class TestPulse:
 
 
 class TestStep:
-    def test_two_segments(self):
-        prog = step(2e-3, 0.0, 0.5, Polarity.EXC)
-        assert len(prog.segments) == 2
-        assert prog.drives_at(1e-3) == (0.0, 0.0)
-        assert prog.drives_at(3e-3) == (0.5, 0.0)
-
     def test_step_at_origin_is_single_constant_segment(self):
-        prog = step(0.0, 0.0, 0.5, Polarity.EXC)
+        prog = step(0.5, Polarity.EXC)
         assert prog.is_constant
         assert prog.drives_at(0.0) == (0.5, 0.0)
 
-    def test_equal_levels_collapse_to_constant(self):
-        prog = step(5e-3, 0.3, 0.3, Polarity.EXC)
-        assert prog.is_constant
+    def test_polarity_routes_to_the_right_drive(self):
+        assert step(0.5, Polarity.INH).drives_at(1.0) == (0.0, 0.5)
+
+    @pytest.mark.parametrize("level", [-0.1, 1.6])
+    def test_level_outside_the_supply_rejected(self, level):
+        with pytest.raises(ConfigError, match=f"drive voltage {level!r} outside"):
+            step(level)
 
 
 class TestSpikingChirp:
@@ -154,7 +152,7 @@ class TestSynapseCurrent:
         dp = derive_params(p)
         s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
         cfg = IntegratorConfig(dt=1e-6, t_end=0.03, sample_stride=10)
-        trace, events = integrate(s0, p, step(0.0, 0.0, 0.5, Polarity.EXC), cfg)
+        trace, events = integrate(s0, p, step(0.5, Polarity.EXC), cfg)
         assert events
         assert np.all(trace.I_in[trace.clamped] == 0.0)
         assert np.all(trace.I_in[~trace.clamped] == synapse_current(0.5, 0.0, p))
