@@ -21,16 +21,19 @@ runs from the peak to the nearest strictly higher sample on that side, or to
 the end of the array.  Peaks less prominent than ``PEAK_MIN_PROMINENCE`` are
 dropped.  These are the usual signal-processing definitions (a
 ``find_peaks`` with a prominence threshold), and the tests hold the search
-to such a reference implementation index for index.  A peak needs a rise
-before it and a fall after it, so it is never the first or last sample, and
-its time and value are refined by a parabola through it and both neighbours,
-for all peaks at once, or for the first alone where only it is read.
+to such a reference implementation index for index.  A peak is never the
+first or last sample; its time and value are refined by a parabola through
+it and both neighbours, for every peak read at once.
 
-The frequency and Q estimates read the same peaks of the V samples.  A
+:func:`ringdown_metrics` makes one candidate pass over each channel, and
+V's turns give its first peak, its peaks and its troughs (the peaks of
+-V).  A first peak is read between the stimulus end and the first clamped
+sample, since the samples after a handshake hold belong to a spike; its
+walk stops at the first candidate prominent within that window.  The
+frequency and Q read the peaks of all the V samples, Q the troughs too.  A
 trace with clamped samples has neither: the run fired, and its V samples
-hold a spike train, not a resonance.  Each public extractor searches its
-trace itself; :func:`ringdown_metrics` searches V once and hands the peaks
-to both.  A metric the trace does not support raises
+hold a spike train, not a resonance.  Each public extractor scans what it
+reads itself.  A metric the trace does not support raises
 :class:`UndefinedMetricError`, which :func:`ringdown_metrics` turns into a
 flag; a ``ValueError`` is a caller error, such as a settle window longer
 than the trace, and propagates.
@@ -167,50 +170,74 @@ def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
         raise ValueError(
             f"settle window {settle_window!r} s exceeds trace span {t_hi - tr.t[0]!r} s"
         )
-    sel = tr.t >= t_lo
-    if np.any(tr.clamped[sel]):
+    lo = int(np.searchsorted(tr.t, t_lo))  # the first sample at or after t_lo
+    if np.any(tr.clamped[lo:]):
         raise UndefinedMetricError("settle window contains clamped samples")
-    u, v = tr.U[sel], tr.V[sel]
+    u, v = tr.U[lo:], tr.V[lo:]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise UndefinedMetricError("settle window contains non-finite samples")
     return float(np.mean(u)), float(np.mean(v))
 
 
-def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Indices of the local maxima of ``x`` at least ``min_prominence`` high.
+def _turns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pass: the turns of ``x`` in order, tops and bottoms alternating.
 
-    The definitions are in the module docstring.  The nearest strictly
-    higher sample beside a peak lies no farther out than the nearest
-    strictly higher peak (or the array end), and the minimum up to either is
-    the same, so the search runs over the peaks alone: one ``reduceat`` gives the
-    minimum between neighbouring peaks, and ``_lowest_back_to_higher``
-    merges those minima out to the next higher peak on each side.
-
-    Between two neighbouring peaks the samples fall to one valley and rise
-    again, and the nearest strictly higher sample lies beyond that valley,
-    so each of a peak's two minima is at most its neighbouring gap.
-    ``height - max(gap_left, gap_right)`` is then a lower bound on the
-    prominence; when it clears ``min_prominence`` for every peak, as on a
-    clean ringdown, every peak is kept and the two stack passes are skipped.
+    A top is a rise then a fall, a bottom a fall then a rise, and a flat
+    stretch between the two moves counts once, at its middle.  Per turn: the
+    index of the move into it, its index, and whether it is a top.  The
+    turns of ``x[lo:]`` are those whose move into them is at or after ``lo``.
     """
-    d = np.diff(x)
-    moves = np.flatnonzero(d != 0.0)
-    rising = d[moves] > 0.0
-    top = rising[:-1] & ~rising[1:]
-    peaks = (moves[:-1][top] + 1 + moves[1:][top]) // 2
-    if len(peaks) == 0:
-        return peaks
-    # gaps[k] is the minimum between peak k-1 (or the start) and peak k; the
-    # last entry runs from the last peak to the end
-    gaps = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
-    heights = x[peaks]
-    if np.all(heights - np.maximum(gaps[:-1], gaps[1:]) >= min_prominence):
-        return peaks
-    gaps = gaps.tolist()
-    left = _lowest_back_to_higher(heights.tolist(), gaps[:-1])
-    right = _lowest_back_to_higher(heights[::-1].tolist(), gaps[:0:-1])[::-1]
-    prominence = heights - np.maximum(left, right)
-    return peaks[prominence >= min_prominence]
+    # comparisons, not differences, which overflow near the ends of the float range
+    moves = np.flatnonzero(x[1:] != x[:-1])
+    rising = (x[1:] > x[:-1])[moves]
+    turn = np.flatnonzero(rising[:-1] != rising[1:])  # the moves into the turns
+    into = moves[turn]
+    return into, (into + 1 + moves[turn + 1]) // 2, rising[turn]
+
+
+def _prominent(x, turns, min_prominence: float, lo: int = 0, sign: int = 1,
+               first: bool = False) -> np.ndarray:
+    """Indices of the peaks of ``sign * x[lo:]`` at least ``min_prominence`` prominent.
+
+    ``turns`` is the candidate pass of ``x``; with ``sign`` -1 its bottoms
+    are the tops.  With ``first``, at most the first such peak is returned.
+
+    Tops and bottoms alternate, so the minimum between two neighbouring tops
+    is the bottom between them (or the end sample), and each of a top's two
+    minima is at most that gap: ``height - max(gap_left, gap_right)`` bounds
+    its prominence from below.  When the bound clears ``min_prominence`` for
+    every top read (the first alone, with ``first``), as on a clean
+    ringdown, the exact pass is skipped.  The nearest strictly higher sample
+    beside a top lies no farther out than the nearest strictly higher top,
+    so that pass, ``_lowest_back_to_higher``, runs over the tops alone.
+    """
+    into, at, top = turns
+    k = into.searchsorted(lo)
+    at, top = at[k:], top[k:]
+    if len(at) == 0:
+        return at
+    # the turns between the two end samples: the tops are every other one
+    # from s, and each top's gaps sit on either side of it
+    ends = x[np.concatenate(((lo,), at, (len(x) - 1,)))]
+    if sign < 0:
+        ends = -ends
+    s = int(top[0] != (sign > 0))
+    heights = ends[s + 1:-1:2]
+    n = len(heights)
+    left, right = ends[s:s + 2 * n:2], ends[s + 2:s + 2 * n + 1:2]
+    with np.errstate(all="ignore"):
+        keep = heights - np.maximum(left, right) >= min_prominence
+        if not (keep[:1] if first else keep).all():
+            left = _lowest_back_to_higher(heights.tolist(), left.tolist())
+            right = _lowest_back_to_higher(heights[::-1].tolist(), right[::-1].tolist())[::-1]
+            keep = heights - np.maximum(left, right) >= min_prominence
+    peaks = at[s::2][keep]
+    return peaks[:1] if first else peaks
+
+
+def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``x`` at least ``min_prominence`` prominent."""
+    return _prominent(x, _turns(x), min_prominence)
 
 
 def _lowest_back_to_higher(heights: list[float], gaps: list[float]) -> list[float]:
@@ -230,34 +257,34 @@ def _lowest_back_to_higher(heights: list[float], gaps: list[float]) -> list[floa
     return lows
 
 
-def _peak_indices(x: np.ndarray) -> np.ndarray:
-    """Indices of the prominence-filtered local maxima of one channel.
-
-    A non-finite sample makes the peaks undefined and raises
-    :class:`UndefinedMetricError`.
-    """
+def _require_finite(x: np.ndarray) -> None:
+    """A non-finite sample leaves the peaks undefined."""
     if not np.all(np.isfinite(x)):
         raise UndefinedMetricError("non-finite sample in the peak search")
-    # near the ends of the float range differences overflow to inf; that is
-    # no error
-    with np.errstate(all="ignore"):
-        return _find_peaks(x, PEAK_MIN_PROMINENCE)
 
 
-def _refine(t: np.ndarray, x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times and values of the peaks ``i`` of ``x``, refined by parabolic fit.
+_BESIDE = np.array([[-1], [0], [1]])  # a peak's neighbourhood, one row per sample
 
-    Every peak is interior, so each has both neighbours, and the fit runs on
-    all of them at once.
+
+def _refine(t: np.ndarray, peaks: list) -> list:
+    """Times and values of peaks, refined by a parabola through each and both neighbours.
+
+    ``peaks`` holds one ``(x, i, sign)`` per channel, the peaks ``i`` of
+    ``sign * x``; each peak is interior, and one fit runs on all of them.
+    Returns one ``(times, values)`` per channel.
     """
+    if not peaks:
+        return []
+    rows = [i + _BESIDE for _, i, _ in peaks]
+    t0, t1, t2 = t[np.concatenate(rows, axis=1)]
+    y0, y1, y2 = np.concatenate(
+        [x[k] if sign > 0 else -x[k] for (x, _, sign), k in zip(peaks, rows)], axis=1)
     # near the ends of the float range the fit overflows to inf and nan, and
     # a zero denominator is replaced below; none is an error
     with np.errstate(all="ignore"):
-        y0, y1, y2 = x[i - 1], x[i], x[i + 1]
-        t1 = t[i]
         denom = y0 - 2.0 * y1 + y2
         delta = np.clip(np.where(denom == 0.0, 0.0, 0.5 * (y0 - y2) / denom), -0.5, 0.5)
-        times = t1 + delta * np.where(delta >= 0, t[i + 1] - t1, t1 - t[i - 1])
+        times = t1 + delta * np.where(delta >= 0, t2 - t1, t1 - t0)
         values = y1 - 0.25 * (y0 - y2) * delta
         # a parabola only applies to locally smooth maxima; at a kink the
         # vertex estimate can overshoot, so cap it by the shallower side.  A
@@ -266,33 +293,55 @@ def _refine(t: np.ndarray, x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np
         cap = 0.5 * np.minimum(y1 - y0, y1 - y2)
         cap = np.where(cap < 0.0, 0.0, cap)
         values = np.where(values - y1 > cap, y1 + cap, values)
-    return times, values
+    ends = np.cumsum([len(i) for _, i, _ in peaks])
+    return [(times[b - len(i):b], values[b - len(i):b]) for (_, i, _), b in zip(peaks, ends)]
 
 
-def _channel_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prominence-filtered local maxima; times and values refined by parabolic fit."""
-    return _refine(t, x, _peak_indices(x))
+def _channel_peaks(t, x, turns=None) -> tuple[np.ndarray, np.ndarray]:
+    """Prominent local maxima of ``x``, refined; ``turns`` is the pass of a finite ``x``.
+
+    Without ``turns`` a non-finite sample raises :class:`UndefinedMetricError`.
+    """
+    if turns is None:
+        _require_finite(x)
+        turns = _turns(x)
+    return _refine(t, [(x, _prominent(x, turns, PEAK_MIN_PROMINENCE), 1)])[0]
+
+
+def _post_stimulus(tr: Trace, t_stim_end: float) -> tuple[int, int]:
+    """Bounds of the free samples from ``t_stim_end`` to the first clamped one."""
+    lo = int(np.searchsorted(tr.t, t_stim_end))
+    held = tr.clamped[lo:]
+    return lo, lo + (int(held.argmax()) if held.any() else len(held))
+
+
+def _first_peaks(tr: Trace, lo: int, hi: int, v_turns=None) -> list:
+    """U's and V's first peak in ``lo:hi``, as :func:`_refine` groups.
+
+    ``v_turns`` is the candidate pass of ``V[:hi]`` where the caller has made it.
+    """
+    if hi - lo < 3:
+        raise UndefinedMetricError("not enough post-stimulus samples for peak search")
+    groups = []
+    for x, turns in ((tr.U[:hi], None), (tr.V[:hi], v_turns)):
+        _require_finite(x[lo:])
+        i = _prominent(x, _turns(x) if turns is None else turns, PEAK_MIN_PROMINENCE, lo,
+                       first=True)
+        if len(i) == 0:
+            raise UndefinedMetricError("no local maximum after the stimulus")
+        groups.append((x, i, 1))
+    return groups
 
 
 def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
     """First local maximum of U and of V after the stimulus ends.
 
-    The channels are scanned independently, and only the first peak of each
-    is refined; a channel with no detectable peak (constant or monotone
-    tail) raises :class:`UndefinedMetricError`.
+    Both are read between the stimulus end and the first clamped sample; a
+    channel with no peak there (constant or monotone, or cut short by a
+    spike) raises :class:`UndefinedMetricError`.
     """
-    sel = (tr.t >= t_stim_end) & ~tr.clamped
-    if np.count_nonzero(sel) < 3:
-        raise UndefinedMetricError("not enough post-stimulus samples for peak search")
-    t = tr.t[sel]
-    out = []
-    for x in (tr.U[sel], tr.V[sel]):
-        i = _peak_indices(x)
-        if len(i) == 0:
-            raise UndefinedMetricError("no local maximum after the stimulus")
-        _, values = _refine(t, x, i[:1])
-        out.append(float(values[0]))
-    return out[0], out[1]
+    (_, u), (_, v) = _refine(tr.t, _first_peaks(tr, *_post_stimulus(tr, t_stim_end)))
+    return float(u[0]), float(v[0])
 
 
 def _median(x: np.ndarray) -> float:
@@ -313,6 +362,7 @@ def _median(x: np.ndarray) -> float:
     return (float(s[n // 2 - 1]) + float(s[n // 2])) / 2.0
 
 
+@lru_cache(maxsize=None)
 def _smooth_length(n: int) -> int:
     """The largest 2^a 3^b 5^c not above ``n`` (at least 1)."""
     best = 1
@@ -365,21 +415,22 @@ def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
     return float((k + delta) / (m * dt))
 
 
-def _free_v(tr: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Times and V of a trace that never fired, the channel of both V metrics.
+def _free_v(tr: Trace, turns=None) -> tuple:
+    """The candidate pass of V (``turns`` where made) of a trace that never fired.
 
     A clamped sample means the run fired, and its V samples hold a spike
-    train, not a resonance; that raises :class:`UndefinedMetricError`.
+    train, not a resonance; that, like a non-finite sample, raises
+    :class:`UndefinedMetricError`.
     """
     if np.any(tr.clamped):
         raise UndefinedMetricError("the trace holds clamped samples: the run fired")
-    return tr.t, tr.V
+    _require_finite(tr.V)
+    return _turns(tr.V) if turns is None else turns
 
 
 def resonant_frequency_estimates(tr: Trace) -> tuple[float, float]:
     """(median inter-peak estimate, spectral estimate) of the V oscillation."""
-    t, v = _free_v(tr)
-    return _frequency_estimates(t, v, _channel_peaks(t, v))
+    return _frequency_estimates(tr.t, tr.V, _channel_peaks(tr.t, tr.V, _free_v(tr)))
 
 
 def _frequency_estimates(
@@ -412,14 +463,18 @@ def q_factor(tr: Trace) -> float:
     trace with fewer than 5 usable peaks, or with clamped samples, raises
     :class:`UndefinedMetricError`.
     """
-    t, v = _free_v(tr)
-    return _q_factor(t, v, _channel_peaks(t, v))
+    return _q_factor(*_refine(tr.t, _extrema(tr.V, _free_v(tr))))
 
 
-def _q_factor(t: np.ndarray, v: np.ndarray, peaks: tuple[np.ndarray, np.ndarray]) -> float:
-    """:func:`q_factor` of the V samples ``t, v`` with peaks ``peaks``."""
+def _extrema(v: np.ndarray, turns: tuple) -> list:
+    """V's prominent peaks and troughs (the peaks of -V), as :func:`_refine` groups."""
+    return [(v, _prominent(v, turns, PEAK_MIN_PROMINENCE, sign=sign), sign) for sign in (1, -1)]
+
+
+def _q_factor(peaks: tuple, troughs: tuple) -> float:
+    """:func:`q_factor` of V's refined peaks and troughs (the peaks of -V)."""
     peak_t, peak_v = peaks
-    trough_t, trough_v = _channel_peaks(t, -v)
+    trough_t, trough_v = troughs
     trough_v = -trough_v
     if len(peak_t) < 5 or len(trough_t) < 2:
         raise UndefinedMetricError("fewer than 5 peaks above baseline for the envelope fit")
@@ -455,24 +510,35 @@ def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> Metr
     except UndefinedMetricError:
         # a die whose ringdown spiked holds clamped samples in the tail
         flags.append("baseline-undefined")
+    lo, hi = _post_stimulus(tr, t_stim_end)
+    # V's one candidate pass.  Unless the run fired, the first-peak window
+    # runs to the end of the trace, and this is the pass over all of V that
+    # the frequency and Q read too; a run that fired has neither
+    v_turns = _turns(tr.V[:hi])
+    first: list = []
     try:
-        first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
+        first = _first_peaks(tr, lo, hi, v_turns)
     except UndefinedMetricError:
         flags.append("no-peak")
+    extrema: list = []
     try:
-        t, v = _free_v(tr)
-        peaks = _channel_peaks(t, v)
+        extrema = _extrema(tr.V, _free_v(tr, v_turns))
     except UndefinedMetricError:
         flags += ["f-res-undefined", "q-undefined"]
-    else:
+    # every peak read is refined in one pass
+    refined = _refine(tr.t, first + extrema)
+    if first:
+        first_peak_U, first_peak_V = (float(values[0]) for _, values in refined[:2])
+    if extrema:
+        peaks, troughs = refined[len(first):]
         try:
-            f_res, f_fft = _frequency_estimates(t, v, peaks)
+            f_res, f_fft = _frequency_estimates(tr.t, tr.V, peaks)
             if abs(f_res - f_fft) > FREQ_CONSISTENCY_TOL * f_res:
                 flags.append("freq-estimators-disagree")
         except UndefinedMetricError:
             flags.append("f-res-undefined")
         try:
-            q = _q_factor(t, v, peaks)
+            q = _q_factor(peaks, troughs)
             if math.isinf(q):
                 flags.append("infinite-q")
         except UndefinedMetricError:

@@ -91,7 +91,7 @@ class CircuitParams:
         # plain float, like every other field
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, Real):
+            if type(value) is not float and (type(value) is int or isinstance(value, Real)):
                 object.__setattr__(self, f.name, float(value))
         require_positive(self, "C1", "C2", "I_n0", "U_T", "I_IU", "I_IV", "I_s0_exc", "I_s0_inh",
                          "T_spk")

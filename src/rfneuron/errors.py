@@ -35,6 +35,13 @@ def require_finite(obj) -> None:
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
+        # a plain float or int, the common case, needs none of the checks below
+        if type(value) is float:
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            continue
+        if type(value) is int:
+            continue
         entries = value if isinstance(value, tuple) else (value,)
         if any(isinstance(x, (bool, np.bool_)) for x in entries):
             raise ConfigError(f"{f.name} must be a number, not a boolean, got {value!r}")

@@ -110,7 +110,7 @@ def _sample_die_counted(
         np.random.SeedSequence(entropy=m.seed, spawn_key=(die_index,))
     )
     for attempt in range(_MAX_RESAMPLES_PER_DIE):
-        z = rng.standard_normal(7)
+        z = rng.standard_normal(7).tolist()  # the same doubles, as Python floats
         try:
             die = replace(
                 base,

@@ -32,7 +32,7 @@ from rfneuron import (
     step,
     tuning_map,
 )
-from rfneuron import analysis
+from rfneuron import MismatchModel, analysis, sample_die
 from rfneuron.analysis import (
     FREQ_CONSISTENCY_TOL,
     MAX_LANES,
@@ -43,7 +43,9 @@ from rfneuron.analysis import (
     _find_peaks,
     _hann,
     _median,
+    _prominent,
     _smooth_length,
+    _turns,
     map_lanes,
     resonant_frequency_estimates,
     ringdown_metrics,
@@ -147,6 +149,47 @@ class TestExtractFirstPeak:
                    overflow=np.zeros_like(t, dtype=bool))
         with pytest.raises(UndefinedMetricError):
             extract_first_peak(tr, t_stim_end=0.0)
+
+    # V rises towards the threshold and the handshake clamps it, holding U at the
+    # reset level; the free samples after the release ring on
+    RISE = [0.70, 0.72, 0.74, 0.76, 0.78, 0.80]
+    HELD = [0.75, 0.75, 0.75]
+    RING = [0.75, 0.76, 0.77, 0.765, 0.76, 0.755, 0.75]
+
+    @staticmethod
+    def held_trace(before, held, after):
+        x = np.asarray(before + held + after)
+        n = len(x)
+        clamped = np.zeros(n, dtype=bool)
+        clamped[len(before):len(before) + len(held)] = True
+        return Trace(t=np.arange(n) * 1e-4, U=x.copy(), V=x.copy(), I_in=np.zeros(n),
+                     clamped=clamped, overflow=np.zeros(n, dtype=bool))
+
+    def test_the_first_clamped_sample_ends_the_window(self):
+        # joining the rise to the release would read its last sample, a spike
+        # artefact, as the first peak
+        tr = self.held_trace(self.RISE, self.HELD, self.RING)
+        with pytest.raises(UndefinedMetricError):
+            extract_first_peak(tr, t_stim_end=0.0)
+        m = ringdown_metrics(tr, t_stim_end=0.0, settle_window=2e-4)
+        assert "no-peak" in m.flags
+        assert math.isnan(m.first_peak_U) and math.isnan(m.first_peak_V)
+
+    def test_a_peak_before_the_first_hold_is_read_as_without_the_hold(self):
+        before = [0.70, 0.75, 0.73, 0.76, 0.80]
+        tr = self.held_trace(before, self.HELD, self.RING)
+        free = self.held_trace(before, [], [])
+        assert extract_first_peak(tr, 0.0) == extract_first_peak(free, 0.0)
+        assert extract_first_peak(tr, 0.0)[0] == pytest.approx(0.75, abs=0.01)
+
+    def test_criterion_8_die_that_fired_has_no_first_peak(self):
+        # die 27 of the default population spikes 55 times; between the
+        # stimulus end and its first hold the ringdown has not turned yet
+        setup = dataclasses.replace(RingdownSetup(), amplitude=0.4)
+        tr, events, m = run_ringdown(sample_die(CircuitParams(), MismatchModel(), 27), setup)
+        assert len(events) == 55
+        assert m.flags == ("baseline-undefined", "no-peak", "f-res-undefined", "q-undefined")
+        assert math.isnan(m.first_peak_U) and math.isnan(m.first_peak_V)
 
 
 PROMINENCES = (0.0, PEAK_MIN_PROMINENCE, 5.0 * PEAK_MIN_PROMINENCE)
@@ -259,6 +302,101 @@ class TestFindPeaks:
         m = ringdown_metrics(tr, t_stim_end=2e-3, settle_window=tr.t[-1] / 5)
         assert {"no-peak", "f-res-undefined", "q-undefined"} <= set(m.flags)
         assert math.isnan(m.first_peak_V) and math.isnan(m.f_res) and math.isnan(m.q_factor)
+
+
+def first_peak_walk(x, lo, prominence):
+    """The first-peak walk over the window ``x[lo:]``, on the candidate pass of all of ``x``."""
+    return _prominent(x, _turns(x), prominence, lo, first=True)
+
+
+# an array with a start index of its window: every start, the array end included
+_windows = st.one_of(_stepped, _smooth).flatmap(
+    lambda x: st.tuples(st.just(x), st.integers(0, len(x))))
+
+# a flat top that a window starting at 2 cuts: in x it is a peak, in the window none
+MID_PLATEAU = np.array([0.0, 3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 0.0]) * PEAK_MIN_PROMINENCE
+# a clean, prominent peak ahead of a shoulder that the gap bound leaves undecided
+CLEAN_THEN_SHOULDER = np.concatenate(([0.0, 5.0 * PEAK_MIN_PROMINENCE], SHOULDER))
+
+
+class TestCandidatePass:
+    """One candidate pass per channel serves its first peak, its peaks and its troughs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(window=_windows)
+    @example(window=(MID_PLATEAU, 2))
+    @example(window=(far_higher_neighbour(1.21), 2))
+    @example(window=(CLEAN_THEN_SHOULDER, 0))
+    def test_first_peak_walk_matches_the_search_of_the_window(self, reference_find_peaks, window):
+        x, lo = window
+        for prominence in PROMINENCES:
+            expected = reference_find_peaks(x[lo:], prominence=prominence)[0][:1] + lo
+            np.testing.assert_array_equal(_find_peaks(x[lo:], prominence)[:1] + lo, expected)
+            np.testing.assert_array_equal(first_peak_walk(x, lo, prominence), expected)
+
+    @pytest.mark.parametrize("x, lo, expected", [
+        ([0.0, 1.0, 1.0, 1.0, 0.0], 0, [2]),
+        ([1.0, 1.0, 1.0, 0.0, 2.0, 0.0], 0, [4]),
+        ([0.0, 2.0, 0.0, 1.0, 1.0, 1.0], 0, [1]),
+        ([0.0, 2.0, 0.0, 2.0, 0.0], 0, [1]),
+        ([0.0, 2.0, 0.0, 2.0, 0.0], 2, [3]),
+        (MID_PLATEAU / PEAK_MIN_PROMINENCE, 0, [2]),
+        (MID_PLATEAU / PEAK_MIN_PROMINENCE, 2, [6]),
+        (MID_PLATEAU / PEAK_MIN_PROMINENCE, 3, [6]),
+        (SHOULDER / PEAK_MIN_PROMINENCE, 0, [1]),
+        (SHOULDER / PEAK_MIN_PROMINENCE, 2, []),
+        (far_higher_neighbour(1.21) / PEAK_MIN_PROMINENCE, 2, [7]),
+        (far_higher_neighbour(1.19) / PEAK_MIN_PROMINENCE, 2, [13]),
+    ], ids=["plateau", "plateau-at-the-start", "plateau-at-the-end", "tie", "tie-second",
+            "plateau-in-x", "window-starts-mid-plateau", "window-starts-on-the-plateau-end",
+            "shoulder", "shoulder-alone", "undecided-bump-just-above",
+            "undecided-bump-just-below"])
+    def test_first_peak_of_a_window(self, reference_find_peaks, x, lo, expected):
+        x = np.asarray(x, dtype=float) * PEAK_MIN_PROMINENCE
+        assert list(reference_find_peaks(x[lo:], prominence=PEAK_MIN_PROMINENCE)[0][:1] + lo) \
+            == expected
+        assert list(first_peak_walk(x, lo, PEAK_MIN_PROMINENCE)) == expected
+
+    def test_walk_stops_at_the_first_peak_the_bound_decides(self, monkeypatch):
+        # the full search must settle the shoulder exactly; the walk stops before it
+        stack_passes = []
+        monkeypatch.setattr(analysis, "_lowest_back_to_higher",
+                            spy(analysis._lowest_back_to_higher, stack_passes))
+        x = CLEAN_THEN_SHOULDER
+        assert list(first_peak_walk(x, 0, PEAK_MIN_PROMINENCE)) == [1]
+        assert stack_passes == []
+        assert list(_find_peaks(x, PEAK_MIN_PROMINENCE)) == [1, 3]
+        assert len(stack_passes) == 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(window=_windows)
+    @example(window=(far_higher_neighbour(1.21), 0))
+    @example(window=(-far_higher_neighbour(1.19), 0))
+    @example(window=(-MID_PLATEAU, 2))
+    def test_joint_pass_matches_two_searches(self, reference_find_peaks, window):
+        x, lo = window
+        turns = _turns(x)
+        for prominence in PROMINENCES:
+            peaks = _prominent(x, turns, prominence)
+            troughs = _prominent(x, turns, prominence, sign=-1)
+            np.testing.assert_array_equal(peaks, _find_peaks(x, prominence))
+            np.testing.assert_array_equal(troughs, _find_peaks(-x, prominence))
+            np.testing.assert_array_equal(troughs,
+                                          reference_find_peaks(-x, prominence=prominence)[0])
+            np.testing.assert_array_equal(_prominent(x, turns, prominence, lo, sign=-1),
+                                          _find_peaks(-x[lo:], prominence) + lo)
+
+    @pytest.mark.parametrize("name", ["ringdown", "chirp"])
+    def test_joint_pass_matches_two_searches_on_default_traces(self, reference_find_peaks,
+                                                               default_traces, name):
+        tr = default_traces[name]
+        for x in (tr.U, tr.V):
+            turns = _turns(x)
+            for sign in (1, -1):
+                expected = reference_find_peaks(sign * x, prominence=PEAK_MIN_PROMINENCE)[0]
+                assert len(expected) > 10
+                np.testing.assert_array_equal(
+                    _prominent(x, turns, PEAK_MIN_PROMINENCE, sign=sign), expected)
 
 
 def reference_channel_peaks(t, x):
@@ -598,6 +736,18 @@ class TestSharedVSearch:
         for extract in (q_factor, resonant_frequency_estimates):
             with pytest.raises(UndefinedMetricError, match="clamped"):
                 extract(tr)
+
+    def test_ringdown_metrics_scans_each_channel_once(self, monkeypatch):
+        # V's candidate pass serves its first peak, its peaks and its troughs
+        tr, _, _ = run_ringdown(CircuitParams())
+        passes = []
+        monkeypatch.setattr(analysis, "_turns", spy(analysis._turns, passes))
+        setup = RingdownSetup()
+        m = ringdown_metrics(tr, setup.t0 + setup.width, setup.settle_window)
+        assert m.flags == ()
+        channels = sorted("U" if np.shares_memory(x, tr.U) else "V" if np.shares_memory(x, tr.V)
+                          else "?" for x, in passes)
+        assert channels == ["U", "V"]
 
 
 class TestFloatFields:

@@ -632,18 +632,23 @@ class TestCli:
         assert err.startswith("config error: voltage ordering 0 < V_reset < V_th < V_DD violated")
         assert err.count("\n") == 1
 
-    def test_montecarlo_follows_the_handshake_section(self, tmp_path):
-        # the dies spike at this threshold, so the hold length shows in their metrics
+    def test_montecarlo_follows_the_handshake_section(self, tmp_path, capsys):
+        # the dies spike again and again at this threshold: a self-acknowledged
+        # run completes, and a scripted list of one acknowledge runs out at the
+        # second spike.  A run that fired has no metric that the hold length
+        # moves, so the protocol shows in how the run ends
         base = ("neuron: {V_th: 0.80}\nringdown: {horizon: 0.06, settle_window: 0.012}\n"
                 "montecarlo: {n_dies: 3, amplitude: 0.5}\n")
-        outs = []
-        for T_spk in ("6.0e-05", "3.0e-03"):
-            path = tmp_path / f"mc_{T_spk}.yaml"
-            path.write_text(base + f"handshake: {{T_spk: {T_spk}}}\n")
-            outs.append(tmp_path / T_spk)
-            rc = main(["montecarlo", "--config", str(path), "--outdir", str(outs[-1])])
-            assert rc == 0
-        assert not filecmp.cmp(outs[0] / "dies.csv", outs[1] / "dies.csv", shallow=False)
+        codes = []
+        handshakes = ("{T_spk: 6.0e-05}", "{mode: scripted_ack, ack_delays: [0.0]}")
+        for i, handshake in enumerate(handshakes):
+            path = tmp_path / f"mc_{i}.yaml"
+            path.write_text(base + f"handshake: {handshake}\n")
+            out = tmp_path / str(i)
+            codes.append(main(["montecarlo", "--config", str(path), "--outdir", str(out)]))
+        assert codes == [0, 1]
+        assert capsys.readouterr().err.startswith(
+            "protocol error: scripted acknowledge list exhausted at event 1")
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"

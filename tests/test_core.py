@@ -7,6 +7,7 @@ mpmath arithmetic from the closed-form expressions and are frozen here.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,3 +275,19 @@ class TestCircuitParamsValidation:
         assert p.In0_beta == 20e-15
         q = params()
         assert q.In0_alpha == q.I_n0 == q.In0_beta
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+        (np.float64(math.nan), "must be finite"), (np.float32(math.inf), "must be finite"),
+        (True, "must be a number, not a boolean"), (np.True_, "must be a number, not a boolean"),
+    ], ids=["nan", "inf", "-inf", "np.float64-nan", "np.float32-inf", "bool", "np.bool_"])
+    def test_rejects_non_finite_and_boolean_fields(self, value, message):
+        # plain floats take a fast path past the number-type checks; it rejects alike
+        with pytest.raises(ConfigError, match=f"T_spk {message}"):
+            params(T_spk=value)
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(1.0), np.float64(1.0), 1.0],
+                             ids=["int", "np.int64", "np.float32", "np.float64", "float"])
+    def test_numbers_become_plain_floats(self, value):
+        p = params(T_spk=value)
+        assert type(p.T_spk) is float and p.T_spk == 1.0
