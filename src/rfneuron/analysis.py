@@ -210,6 +210,13 @@ def _prominent(x, turns, min_prominence: float, lo: int = 0, sign: int = 1,
     ringdown, the exact pass is skipped.  The nearest strictly higher sample
     beside a top lies no farther out than the nearest strictly higher top,
     so that pass, ``_lowest_back_to_higher``, runs over the tops alone.
+
+    It runs over the tops from the first undecided one to the last, not
+    past the decided tops on either side.  A decided top's gaps lie at
+    least ``min_prominence`` below it, and that includes the gap it shares
+    with the run.  So a top of the run at least as high as it clears the
+    floor on that side however far the pass looks, and a lower one has its
+    nearest higher top inside the run or at that decided top.
     """
     into, at, top = turns
     k = into.searchsorted(lo)
@@ -228,9 +235,13 @@ def _prominent(x, turns, min_prominence: float, lo: int = 0, sign: int = 1,
     with np.errstate(all="ignore"):
         keep = heights - np.maximum(left, right) >= min_prominence
         if not (keep[:1] if first else keep).all():
-            left = _lowest_back_to_higher(heights.tolist(), left.tolist())
-            right = _lowest_back_to_higher(heights[::-1].tolist(), right[::-1].tolist())[::-1]
-            keep = heights - np.maximum(left, right) >= min_prominence
+            # with first, only the undecided tops ahead of the first decided one matter
+            undecided = np.flatnonzero(~keep[:keep.argmax() if first and keep.any() else n])
+            a, b = undecided[0], undecided[-1] + 1
+            h = heights[a:b].tolist()
+            lows = np.maximum(_lowest_back_to_higher(h, left[a:b].tolist()),
+                              _lowest_back_to_higher(h[::-1], right[a:b][::-1].tolist())[::-1])
+            keep[a:b] = heights[a:b] - lows >= min_prominence
     peaks = at[s::2][keep]
     return peaks[:1] if first else peaks
 

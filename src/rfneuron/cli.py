@@ -26,7 +26,15 @@ A subcommand that returns also writes effective_config.yaml, the fully
 defaulted configuration.  Every result file goes through :func:`write_csv`
 or :func:`write_json`.  A CSV float cell has 12 significant digits
 (``.12g``), an int or bool flag is written as an integer, and a string as
-it is; JSON is indented by 2 and ends in a newline.  Exit codes:
+it is; JSON is indented by 2 and ends in a newline.  ``write_csv`` formats
+each run of consecutive rows with the same cell types in one ``%`` call, at
+most ``_RUN_ROWS`` rows at a time, and writes the same bytes as formatting
+row by row.
+
+:func:`build_parser` builds the argument parser once per process, so a
+caller that runs :func:`main` many times in one process (a notebook, the
+tests, an in-process benchmark) parses each argv with the same parser.
+Exit codes:
 
     0  success
     1  configuration error, including a config file that is not well-formed
@@ -47,8 +55,8 @@ import dataclasses
 import json
 import math
 import sys
-from functools import partial
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +71,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+
+_RUN_ROWS = 4096  # rows per run of write_csv; bounds the memory one run holds
 
 
 def _row_template(types: tuple[type, ...]) -> str:
@@ -80,18 +90,36 @@ def write_csv(path, header, rows) -> None:
     """Stream ``header`` and then each row of cells to a CSV file.
 
     A float cell is written to 12 significant digits, an int or bool flag as
-    an integer (numpy scalars included), and a string as it is.  Each row is
-    formatted by one ``%`` template, made once per tuple of cell types.
+    an integer (numpy scalars included), and a string as it is.  A run of
+    consecutive rows whose cells share a tuple of types is formatted by one
+    ``%`` call, that tuple's template (:func:`_row_template`) repeated once
+    per row, and written at once.  A run holds at most ``_RUN_ROWS`` rows,
+    so a long file is never held in memory whole.
     """
-    templates: dict[tuple[type, ...], str] = {}
+    def write_run(fh, types, run, cells=None) -> None:
+        if cells is None:
+            cells = tuple(chain.from_iterable(run))
+        fh.write((_row_template(types) * len(run)) % cells)
+
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        for row in chain([header], rows):
-            row = tuple(row)
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = _row_template(types)
-            fh.write(template % row)
+        header = tuple(header)
+        write_run(fh, tuple(map(type, header)), [header])
+        while chunk := list(map(tuple, islice(rows, _RUN_ROWS))):
+            types = tuple(map(type, chunk[0]))
+            cells = tuple(chain.from_iterable(chunk))
+            # the common case, a chunk of one run, is decided over all its cells at once
+            if set(map(len, chunk)) == {len(types)} and \
+                    tuple(map(type, cells)) == types * len(chunk):
+                write_run(fh, types, chunk, cells)
+                continue
+            start = 0
+            for i, row in enumerate(chunk):
+                row_types = tuple(map(type, row))
+                if row_types != types:
+                    write_run(fh, types, chunk[start:i])
+                    start, types = i, row_types
+            write_run(fh, types, chunk[start:])
 
 
 def write_json(path, payload) -> None:
@@ -204,7 +232,14 @@ def cmd_montecarlo(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rfneuron`` argument parser, built once per process.
+
+    Parsing leaves it unchanged, so every :func:`main` call reuses it.  It
+    binds only the ``cmd_*`` functions; each of them looks up what it runs
+    in this module when it is called.
+    """
     parser = argparse.ArgumentParser(
         prog="rfneuron",
         description="Behavioral resonate-and-fire neuron experiments",

@@ -283,6 +283,28 @@ class TestFindPeaks:
         np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
         assert len(stack_passes) == 2  # the bound decided no search; the exact pass ran
 
+    @pytest.mark.parametrize("x, undecided", [
+        # a small first bump beside the array start
+        ([0.3, 0.5, 0.0, 10.0, 0.0, 15.0, 0.0, 20.0, 0.0], [0]),
+        # a decaying ringdown whose last partial cycle ends above its trough
+        ([0.0, 20.0, 0.0, 15.0, 0.0, 10.0, 0.0, 0.5, 0.3], [3]),
+        # a rising run of shallow tops above the clean tops before it: the pass stops there
+        ([0.0, 30.0, 0.0, 2.0, 0.0, 3.0, 0.0, 5.0, 4.4, 5.5, 4.9, 6.0, 5.4, 6.5, 0.0],
+         [3, 4, 5]),
+        # a middle run of tops whose nearest higher tops lie three tops away
+        (far_higher_neighbour(1.21) / PEAK_MIN_PROMINENCE, [1, 2, 3, 4, 5]),
+    ], ids=["first", "last", "rising-run", "middle-run"])
+    def test_exact_pass_settles_only_the_undecided_tops(self, reference_find_peaks,
+                                                         monkeypatch, x, undecided):
+        passes = []
+        monkeypatch.setattr(analysis, "_lowest_back_to_higher",
+                            spy(analysis._lowest_back_to_higher, passes))
+        x = np.asarray(x) * PEAK_MIN_PROMINENCE
+        np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE),
+                                      reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0])
+        # one pass each way, over the tops from the first undecided one to the last
+        assert [len(heights) for heights, _ in passes] == [len(undecided)] * 2
+
     def test_gap_bound_decides_a_clean_ringdown(self, reference_find_peaks, monkeypatch):
         stack_passes = []
         monkeypatch.setattr(analysis, "_lowest_back_to_higher",

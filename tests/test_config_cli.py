@@ -12,6 +12,7 @@ import tempfile
 import threading
 from enum import Enum
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,6 +413,26 @@ _csv_cells = st.one_of(
 )
 
 
+# one type per cell of a run of rows; the run's rows draw new values of those types
+_typed_cells = {
+    str: st.text(st.sampled_from("ab%,;.-e 0"), max_size=5),
+    float: _any_float,
+    np.float64: _any_float.map(np.float64),
+    bool: st.booleans(),
+    np.bool_: st.booleans().map(np.bool_),
+    int: st.integers(),
+    np.int64: st.integers(-2**63, 2**63 - 1).map(np.int64),
+}
+_csv_runs = st.lists(st.sampled_from(list(_typed_cells)), max_size=4).flatmap(
+    lambda types: st.lists(st.tuples(*(_typed_cells[t] for t in types)), min_size=1,
+                           max_size=9))
+
+
+def _csv_text(header, rows) -> str:
+    """The file of ``header`` and ``rows``, each row formatted on its own by the cell rule."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
 class TestWriters:
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "cells.csv"
@@ -428,8 +449,35 @@ class TestWriters:
             path = Path(tmp) / "cells.csv"
             write_csv(path, ("h%", "h,"), rows)
             text = path.read_bytes().decode("ascii")
-        expected = "".join(",".join(map(_cell, row)) + "\n" for row in [("h%", "h,"), *rows])
-        assert text == expected
+        assert text == _csv_text(("h%", "h,"), rows)
+
+    @given(st.lists(_csv_runs, max_size=5).map(lambda runs: [r for run in runs for r in run]),
+           st.integers(1, 4))
+    @example([(1.0, True), (np.float64(2.0), True), (3.0, 1), (4.0, np.bool_(False))], 2)
+    @example([(1.0, "a"), (), (2.0, "b"), (), (), (3.0, "c")], 3)
+    @example([(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)], 4)  # as many float cells as 3 rows of 2
+    @example([], 1)
+    @settings(max_examples=80, deadline=None)
+    def test_runs_of_rows_follow_the_cell_rule(self, rows, cap):
+        # a small cap splits the drawn runs of same-typed rows, like long files at the real cap
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_RUN_ROWS", cap):
+            path = Path(tmp) / "runs.csv"
+            write_csv(path, ("h%", "h,"), rows)
+            text = path.read_bytes().decode("ascii")
+        assert text == _csv_text(("h%", "h,"), rows)
+
+    @pytest.mark.parametrize("n", [cli._RUN_ROWS - 1, cli._RUN_ROWS, 2 * cli._RUN_ROWS + 3])
+    def test_runs_longer_than_the_cap(self, tmp_path, n):
+        rows = [(i / 7.0, np.float64(i) * 1e-9, i % 2 == 0, np.int64(-i)) for i in range(n)]
+        rows[n // 2] = (0.5, 0.25, True, 3)  # a float and an int where numpy scalars ran
+        path = tmp_path / "long.csv"
+        write_csv(path, ("a", "b", "c", "d"), iter(rows))
+        assert path.read_text() == _csv_text(("a", "b", "c", "d"), rows)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ("x", "y%"), iter(()))
+        assert path.read_text() == "x,y%\n"
 
     def test_json_layout(self, tmp_path):
         path = tmp_path / "payload.json"
@@ -780,6 +828,48 @@ class TestCli:
         for name in ("ringdown_trace.csv", "ringdown_metrics.json",
                      "effective_config.yaml"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
+
+
+class TestParserReuse:
+    """One parser serves every ``main()`` call of a process; no call leaves a mark on it."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_dt_override_does_not_carry_over(self, tmp_path):
+        main(["ringdown", "--dt", "2e-5", "--outdir", str(tmp_path / "a")])
+        main(["ringdown", "--outdir", str(tmp_path / "b")])
+        a, b = (yaml.safe_load((tmp_path / o / "effective_config.yaml").read_text())
+                for o in ("a", "b"))
+        assert a["ringdown"]["integrator"]["dt"] == a["chirp"]["dt"] == 2e-5
+        default = IntegratorConfig().dt
+        assert b["integrator"]["dt"] == b["ringdown"]["integrator"]["dt"] == default
+        assert b["chirp"]["dt"] == default
+
+    def test_full_map_does_not_carry_over(self, fast_config, tmp_path):
+        for name, extra in (("a", ["--full-map"]), ("b", [])):
+            argv = ["chirp", "--config", str(fast_config), "--outdir", str(tmp_path / name)]
+            assert main([*argv, *extra]) == 0
+        assert (tmp_path / "a" / "tuning_map.csv").exists()
+        assert sorted(f.name for f in (tmp_path / "b").iterdir()) == [
+            "chirp_raster.csv", "chirp_trace.csv", "effective_config.yaml"]
+
+    def test_a_rejected_argv_leaves_the_next_call_alike(self, fast_config, tmp_path, capsys):
+        def chirp(outdir, *extra):
+            return main(["chirp", "--config", str(fast_config), "--outdir", str(outdir), *extra])
+
+        assert chirp(tmp_path / "a") == 0
+        with pytest.raises(SystemExit) as info:  # argparse reads --full-map, then rejects
+            chirp(tmp_path / "x", "--full-map", "--dt", "2e-6", "--bogus")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert chirp(tmp_path / "b") == 0
+        cmp = filecmp.dircmp(tmp_path / "a", tmp_path / "b")
+        assert cmp.left_only == cmp.right_only == []
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", cmp.common,
+                                                   shallow=False)
+        assert "chirp_trace.csv" in match and mismatch == errors == []
+        assert not (tmp_path / "x").exists()
 
 
 _DEFAULT_NEURON = CircuitParams()

@@ -15,7 +15,7 @@ import pytest
 
 import rfneuron
 from rfneuron import (
-    CircuitParams, IntegratorConfig, NeuronState, analysis, derive_params, experiments,
+    CircuitParams, IntegratorConfig, NeuronState, analysis, cli, derive_params, experiments,
     handshake, integrator, montecarlo, step,
 )
 
@@ -108,8 +108,8 @@ def test_ringdown_and_line_fit_load_no_numpy_ma():
     assert out.stdout.strip() == ""
 
 
-def _traced_names(monkeypatch, capsys, run) -> set[str]:
-    """The span names recorded while ``run()`` runs under the benchmark's tracing.
+def _traced_spans(monkeypatch, capsys, run) -> list[str]:
+    """The names of the spans recorded while ``run()`` runs under the benchmark's tracing.
 
     perfbench wraps module attributes by name; a renamed one is skipped with a
     "not found" warning and its layer metric silently reads 0.
@@ -124,7 +124,11 @@ def _traced_names(monkeypatch, capsys, run) -> set[str]:
     finally:
         rec.restore()
     assert "not found" not in capsys.readouterr().err
-    return {s.name for s in rec.spans}
+    return [s.name for s in rec.spans]
+
+
+def _traced_names(monkeypatch, capsys, run) -> set[str]:
+    return set(_traced_spans(monkeypatch, capsys, run))
 
 
 def test_benchmark_wrappers_install_on_the_package(monkeypatch, capsys):
@@ -139,6 +143,20 @@ def test_benchmark_tracing_still_wraps_the_ringdown_extraction(monkeypatch, caps
     names = _traced_names(monkeypatch, capsys,
                           lambda: experiments.run_ringdown(CircuitParams(), setup))
     assert "analysis.ringdown_metrics" in names
+
+
+def test_benchmark_tracing_still_wraps_every_cli_call(monkeypatch, capsys, tmp_path):
+    # the parser is built once per process, here before the wrappers go in; each main()
+    # call must still reach the wrapped config and run call sites, or the benchmark's
+    # config.load_s and config.dump_s read 0
+    cli.build_parser()
+    path = tmp_path / "short.yaml"
+    path.write_text("ringdown: {horizon: 0.02, settle_window: 0.005}\n")
+    argv = ["ringdown", "--config", str(path), "--outdir", str(tmp_path / "o")]
+    names = _traced_spans(monkeypatch, capsys, lambda: [cli.main(argv) for _ in range(2)])
+    for name in ("cli.main", "config.load_config", "config.dump_effective_config",
+                 "experiments.run_ringdown"):
+        assert names.count(name) == 2, name
 
 
 def test_benchmark_tracing_still_wraps_the_event_path(monkeypatch, capsys):
