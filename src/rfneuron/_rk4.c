@@ -2,12 +2,21 @@
  * runner that takes every stop of a free-running span and resolves its
  * threshold crossing.
  *
- * The arithmetic is core.rhs's, in the same operation order, up to
- * `* (1/C)` in place of `/ C`, so a step equals the Python expression
- * evaluated in float64.  That holds only when the compiler neither contracts
- * a*b+c into a fused multiply-add nor applies fast-math rewrites: build with
- * -ffp-contract=off and no -ffast-math.  exp() is the C library's, which is
- * the one Python's math.exp calls.
+ * deriv() is core.rhs's derivative, up to `* (1/C)` in place of `/ C`, and
+ * rk4() is the classical RK4 step built from it.  Over the orbit (U and V in
+ * 0.6-0.9 V, steps up to 20 us) a step matches the RK4 built from core.rhs to
+ * a relative 1e-15 in U and V, the bound tests/test_integrator.py pins.
+ *
+ * The step calls the C library's exp() (the one Python's math.exp calls) once
+ * per channel, at the start state x0.  A later stage at x = x0 + dx reuses it
+ * as exp(a*x0) * exp(a*dx), with exp(a*dx) a degree-5 Taylor polynomial, when
+ * x0 and x both lie inside the guard window and |a*dx| <= 2^-8; there the
+ * truncation is below (a*dx)^6/720 < 5e-18 relative.  Any other stage calls
+ * exp(a*guard(x)).  dx is the stage's increment itself, so the polynomial
+ * waits on neither the add nor the guard.
+ *
+ * Build with -ffp-contract=off and no -ffast-math: the source then fixes every
+ * rounding, and a rerun, on a fresh build too, is byte-identical.
  *
  * rfneuron.integrator compiles this file with gcc at import and loads it
  * through ctypes.
@@ -24,23 +33,47 @@ static inline double guard(const double *p, double x)
     return x < p[VMIN] ? p[VMIN] : (x > p[VMAX] ? p[VMAX] : x);
 }
 
-/* dU/dt and dV/dt at (u, v): the exponentials see the guarded voltages. */
-static inline void deriv(const double *p, double u, double v, double *du, double *dv)
+static inline int inside(const double *p, double x)
 {
-    double x = guard(p, u), y = guard(p, v);
-    *du = (p[I_U] - p[IN0B] * exp(p[A] * y) - p[G] * (u - p[UREF])) * p[INV_C1];
-    *dv = (p[IN0A] * exp(p[A] * x) - p[I_IV] - p[G] * (v - p[VREF])) * p[INV_C2];
+    return x >= p[VMIN] && x <= p[VMAX];
+}
+
+/* exp(a * guard(x0 + dx)), given e0 = exp(a * guard(x0)). */
+static inline double exp_near(const double *p, double e0, double x0, double dx)
+{
+    double x = x0 + dx, d = p[A] * dx, d2 = d * d;
+    double poly = (1.0 + d) + d2 * ((0.5 + d * (1.0 / 6.0))
+                                     + d2 * (1.0 / 24.0 + d * (1.0 / 120.0)));
+    if (inside(p, x0) && inside(p, x) && fabs(d) <= 0x1p-8)
+        return e0 * poly;
+    return exp(p[A] * guard(p, x));
+}
+
+/* dU/dt and dV/dt at (u, v), given eu = exp(a * guard(u)) and ev = exp(a * guard(v)). */
+static inline void deriv(const double *p, double u, double v, double eu, double ev,
+                         double *du, double *dv)
+{
+    *du = (p[I_U] - p[IN0B] * ev - p[G] * (u - p[UREF])) * p[INV_C1];
+    *dv = (p[IN0A] * eu - p[I_IV] - p[G] * (v - p[VREF])) * p[INV_C2];
+}
+
+/* The derivative at the stage (u0 + du_s, v0 + dv_s) of a step from (u0, v0). */
+static inline void stage(const double *p, double u0, double v0, double eu, double ev,
+                         double du_s, double dv_s, double *du, double *dv)
+{
+    deriv(p, u0 + du_s, v0 + dv_s, exp_near(p, eu, u0, du_s), exp_near(p, ev, v0, dv_s), du, dv);
 }
 
 static inline void rk4(const double *p, double h, double *u, double *v)
 {
-    double half = 0.5 * h, du1, dv1, du2, dv2, du3, dv3, du4, dv4;
-    deriv(p, *u, *v, &du1, &dv1);
-    deriv(p, *u + half * du1, *v + half * dv1, &du2, &dv2);
-    deriv(p, *u + half * du2, *v + half * dv2, &du3, &dv3);
-    deriv(p, *u + h * du3, *v + h * dv3, &du4, &dv4);
-    *u = *u + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0;
-    *v = *v + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0;
+    double half = 0.5 * h, u0 = *u, v0 = *v, du1, dv1, du2, dv2, du3, dv3, du4, dv4;
+    double eu = exp(p[A] * guard(p, u0)), ev = exp(p[A] * guard(p, v0));
+    deriv(p, u0, v0, eu, ev, &du1, &dv1);
+    stage(p, u0, v0, eu, ev, half * du1, half * dv1, &du2, &dv2);
+    stage(p, u0, v0, eu, ev, half * du2, half * dv2, &du3, &dv3);
+    stage(p, u0, v0, eu, ev, h * du3, h * dv3, &du4, &dv4);
+    *u = u0 + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0;
+    *v = v0 + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0;
 }
 
 /* Take the stops after tuv = {t, u, v}, with ks = {k, e, n, s}, up to the

@@ -373,6 +373,24 @@ def _median(x: np.ndarray) -> float:
     return (float(s[n // 2 - 1]) + float(s[n // 2])) / 2.0
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares ``(slope, intercept)`` of ``y = slope * x + intercept``.
+
+    The closed form about the means, ``slope = sum(dx * dy) / sum(dx * dx)``
+    with ``dx = x - mean(x)`` and ``dy = y - mean(y)``: centring keeps the
+    sums well scaled whatever the units of x.  Equal x values define no line
+    and raise :class:`UndefinedMetricError`.
+    """
+    n = len(x)
+    x_mean, y_mean = float(x.sum()) / n, float(y.sum()) / n
+    dx = x - x_mean
+    sxx = float((dx * dx).sum())
+    if sxx == 0.0:
+        raise UndefinedMetricError("a line fit needs at least 2 distinct x values")
+    slope = float((dx * (y - y_mean)).sum()) / sxx
+    return slope, y_mean - slope * x_mean
+
+
 @lru_cache(maxsize=None)
 def _smooth_length(n: int) -> int:
     """The largest 2^a 3^b 5^c not above ``n`` (at least 1)."""
@@ -504,7 +522,7 @@ def _q_factor(peaks: tuple, troughs: tuple) -> float:
         times, heights = times[small], heights[small]
     intervals = np.diff(times)
     f_res = _median(1.0 / intervals)
-    slope = float(np.polyfit(times, np.log(heights), 1)[0])
+    slope, _ = _line(times, np.log(heights))
     span = float(times[-1] - times[0])
     if slope >= 0.0 or -slope * span < 5e-3:
         return math.inf
@@ -626,20 +644,21 @@ def firing_rate(events: Sequence[SpikeEvent]) -> FiringRate:
 def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     """Least-squares line y = slope*x + intercept with R^2 and the mid-range y.
 
-    Fewer than 2 points define no line and raise :class:`UndefinedMetricError`.
+    Fewer than 2 points, or equal x values, define no line and raise
+    :class:`UndefinedMetricError`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 2:
         raise UndefinedMetricError(f"a line fit needs at least 2 finite points, got {len(x)}")
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line(x, y)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return {
-        "slope_Hz_per_A": float(slope),
-        "intercept_Hz": float(intercept),
+        "slope_Hz_per_A": slope,
+        "intercept_Hz": intercept,
         "r_squared": r2,
         "midrange_Hz": _median(y),
     }

@@ -1,13 +1,18 @@
 """Fixed-step RK4 integration with exact event handling.
 
 The RK4 step is written once, in C (``_rk4.c``), with ``core.rhs``'s
-arithmetic in its operation order; ``core.rhs`` is its readable oracle.  The
-C file exports one entry, a span runner, which owns the stop schedule of a
-free-running span: it takes every stop, switches the drive segment, samples
-into the trace's column buffers, and bisects the first threshold crossing,
-returning its time.  ``integrate()`` keeps what happens between spans: the
-handshake at each crossing, the hold, the release, ``max_events`` and the
-size of the row buffer.
+derivative; ``core.rhs`` is its readable oracle, and a step matches the RK4
+built from it to a relative 1e-15 over the orbit (``tests/test_integrator.py``).
+The step calls ``exp`` once per channel, at its start state x0.  A later
+stage at x0 + dx reuses it as exp(a x0) exp(a dx), with exp(a dx) a degree-5
+Taylor polynomial, when x0 and x0 + dx both lie inside the guard window and
+|a dx| <= 2^-8, and calls ``exp`` otherwise.  The C file exports one entry, a
+span runner, which owns the stop schedule of a free-running span: it takes
+every stop, switches the drive segment, samples into the trace's column
+buffers, and bisects the first threshold crossing, returning its time.
+``integrate()`` keeps what happens between spans: the handshake at each
+crossing, the hold, the release, ``max_events`` and the size of the row
+buffer.
 
 The stops are computed, not stored: grid stop k is ``k * dt``, the last
 stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
@@ -23,12 +28,13 @@ Traces hold every ``sample_stride``-th grid stop and ``t_end``, plus samples
 at clamp entry and release that delimit each clamp window exactly.
 
 Importing this module needs ``gcc`` on ``PATH`` the first time: it compiles
-``_rk4.c`` with ``-O2 -ffp-contract=off`` (no fast-math, which would change
-the arithmetic) into ``__pycache__`` beside it, or into a private directory
-under the temp dir when that is read-only, and loads it with ``ctypes``.
-Later imports load the cached build, keyed by the CRC-32 of the source and
-the flags.  Without ``gcc`` and a cached build the import fails with one
-``ImportError``.
+``_rk4.c`` with ``-O2 -ffp-contract=off`` and no fast-math, so that the source
+fixes every rounding and a rerun, on a fresh build too, is byte-identical.
+The build goes into ``__pycache__`` beside the source, or into a private
+directory under the temp dir when that is read-only, and is loaded with
+``ctypes``.  Later imports load the cached build, keyed by the CRC-32 of the
+source and the flags.  Without ``gcc`` and a cached build the import fails
+with one ``ImportError``.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from rfneuron import (
     extract_first_peak,
     fi_curve,
     integrate,
+    linear_fit,
     q_factor,
     spiking_chirp,
     step,
@@ -42,6 +43,7 @@ from rfneuron.analysis import (
     _channel_peaks,
     _find_peaks,
     _hann,
+    _line,
     _median,
     _prominent,
     _smooth_length,
@@ -652,6 +654,30 @@ class TestQFactor:
         tr = synthetic_ringdown(f=170.0, q=129.0, duration=2.5 / 170.0)
         with pytest.raises(UndefinedMetricError):
             q_factor(tr)
+
+
+class TestLine:
+    """``_line``, the one line fit behind ``q_factor`` and ``linear_fit``, against ``np.polyfit``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scale=st.sampled_from([1e-10, 1e-3, 1.0, 1e3]),
+           x=st.lists(st.integers(-1000, 1000), min_size=2, max_size=40, unique=True),
+           slope=st.floats(-1e3, 1e3), intercept=st.floats(-1e3, 1e3),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40))
+    def test_fitted_values_match_polyfit(self, scale, x, slope, intercept, noise):
+        x = np.asarray(x, dtype=float) * scale
+        y = slope * (x / scale) + intercept + np.asarray(noise[:len(x)])
+        got_slope, got_intercept = _line(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        bound = 1e-12 * (1.0 + float(np.max(np.abs(y))))
+        assert np.max(np.abs((got_slope * x + got_intercept) - (ref_slope * x + ref_intercept))) <= bound
+
+    def test_exact_line(self):
+        assert _line(np.asarray([1.0, 2.0, 4.0]), np.asarray([3.0, 5.0, 9.0])) == (2.0, 1.0)
+
+    def test_equal_x_define_no_line(self):
+        with pytest.raises(UndefinedMetricError, match="distinct"):
+            linear_fit(np.asarray([2.0, 2.0, 2.0]), np.asarray([1.0, 2.0, 3.0]))
 
 
 # zero-free floats of every size, subnormals included, with ties among the sampled values

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import math
+import re
 import shutil
 import subprocess
 import tempfile
@@ -148,6 +149,17 @@ class TestStepRK4:
 # starts inside the guard window; the second stage leaves it
 LATER_STAGE_EXIT = (1.0, 1.695)
 
+# the input current of a 0.5 V inhibitory pulse, at the default operating
+# point: every later stage moves a*U by more than 2^-8, past the kernel's
+# polynomial for exp
+PULSE_DRIVE = (0.7235896681158807, 0.7980022492088082, -6.07e-10, 1e-5)
+
+# (U, V, I_in, h): V starts 0.1 mV from the guard window's top, and the second
+# stage crosses it by less than 2^-8 / a in a*V, so only the window test keeps
+# that stage's exponential off the polynomial, which would not saturate
+EDGE_STAGE_EXIT = (1.0, 1.6999, 0.0, 1.5e-7)
+EDGE_STAGE_ENTRY = (0.3, 1.7001, 0.0, 3.1e-6)
+
 
 class TestDerivative:
     I_IN, H = -3e-11, 1e-5
@@ -175,6 +187,38 @@ class TestDerivative:
 
         assert all(map(inside, stages[0]))
         assert not all(inside(x) for stage in stages[1:] for x in stage)
+
+    # U and V over the orbits of the library's runs (ringdowns, chirps, firing
+    # F-I levels) and steps up to 20 us.  A later stage takes its exponential
+    # from the start state's through a polynomial, or from exp() when the
+    # stage moves a*x by more than 2^-8, as in the pulse example.
+    @settings(max_examples=300, deadline=None)
+    @example(*PULSE_DRIVE)
+    @given(U=st.floats(0.6, 0.9), V=st.floats(0.6, 0.9), I_in=st.floats(-1e-10, 1e-10),
+           h=st.floats(1e-9, 2e-5))
+    def test_kernel_step_matches_rk4_from_rhs(self, U, V, I_in, h):
+        p = CircuitParams()
+        ref = derive_params(p)
+        expected, _ = rk4_from_rhs(p, ref, I_in, U, V, h)
+        got = kernel_step(p, ref, I_in)(U, V, h)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_pulse_drive_stages_are_past_the_polynomial(self):
+        p = CircuitParams()
+        U, V, I_in, h = PULSE_DRIVE
+        _, stages = rk4_from_rhs(p, derive_params(p), I_in, U, V, h)
+        assert all(p.exp_slope * abs(u - U) > 2.0 ** -8 for u, _ in stages[1:])
+
+    @pytest.mark.parametrize("U, V, I_in, h", [EDGE_STAGE_EXIT, EDGE_STAGE_ENTRY],
+                             ids=["exit", "entry"])
+    def test_stage_across_the_window_edge(self, U, V, I_in, h):
+        p = CircuitParams()
+        ref = derive_params(p)
+        expected, stages = rk4_from_rhs(p, ref, I_in, U, V, h)
+        v2 = stages[1][1]
+        assert (V < p.v_max_guard) != (v2 < p.v_max_guard)
+        assert p.exp_slope * abs(v2 - V) <= 2.0 ** -8
+        assert kernel_step(p, ref, I_in)(U, V, h) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestKernelLoader:
@@ -236,6 +280,13 @@ class TestKernelLoader:
                "-std=c99", "-fsyntax-only", str(_KERNEL_SOURCE)]
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_every_kernel_function_but_the_span_runner_is_static(self):
+        # one hot kernel: rf_run is the library's only export
+        heads = re.findall(r"^([A-Za-z_][^;{=]*?)\b(\w+)\(", _KERNEL_SOURCE.read_text(), re.M)
+        words = {name: head.split() for head, name in heads}
+        assert "static" not in words.pop("rf_run")
+        assert words and all("static" in w for w in words.values()), words
 
 
 class TestRefineCrossing:
