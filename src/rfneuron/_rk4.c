@@ -2,18 +2,30 @@
  * runner that takes every stop of a free-running span and resolves its
  * threshold crossing.
  *
- * deriv() is core.rhs's derivative, up to `* (1/C)` in place of `/ C`, and
- * rk4() is the classical RK4 step built from it.  Over the orbit (U and V in
- * 0.6-0.9 V, steps up to 20 us) a step matches the RK4 built from core.rhs to
- * a relative 1e-15 in U and V, the bound tests/test_integrator.py pins.
+ * balance() is core.rhs's derivative times C: each channel's current balance,
+ * b_u = C1 dU/dt and b_v = C2 dV/dt.  rk4() is the classical RK4 step built
+ * from it, and each stage carries its balances, not its derivatives.  The stage
+ * at x0 + dx, with dx = (c h / C) b for the previous stage's balance b and
+ * c = 1/2, 1/2, 1, needs b only through products with coefficients that depend
+ * on h alone.  So 1/C enters those coefficients and the update
+ * u0 + (h / 6C) ((b1 + b4) + 2 (b2 + b3)), off the chain of dependent
+ * operations from one stage to the next, and the step divides nothing.  Over
+ * the orbit (U and V in 0.6-0.9 V, steps up to 20 us) and over the bias sweep
+ * a step matches the RK4 built from core.rhs to a relative 1e-15 in U and V,
+ * the bound tests/test_integrator.py pins.
  *
  * The step calls the C library's exp() (the one Python's math.exp calls) once
- * per channel, at the start state x0.  A later stage at x = x0 + dx reuses it
- * as exp(a*x0) * exp(a*dx), with exp(a*dx) a degree-5 Taylor polynomial, when
- * x0 and x both lie inside the guard window and |a*dx| <= 2^-8; there the
- * truncation is below (a*dx)^6/720 < 5e-18 relative.  Any other stage calls
- * exp(a*guard(x)).  dx is the stage's increment itself, so the polynomial
- * waits on neither the add nor the guard.
+ * per channel, at the start state x0, and forms the branch current
+ * B exp(a x0) there once.  A later stage at x = x0 + dx takes its branch
+ * current as (B exp(a x0)) P(d), with d = (a c h / C) b (a dx up to its
+ * rounding) and P the degree-5 Taylor polynomial of exp in Estrin form, when
+ * x0 and x both lie inside the guard window and |d| <= 2^-8; there the
+ * truncation is below d^6/720 < 5e-18 relative, and tests/test_integrator.py
+ * holds the evaluated P(d) within 2 ulps of exp(d).  Any other stage calls
+ * exp(a*guard(x)).  d is one multiply of the previous balance, so the chain
+ * from one stage's balance to the next is that multiply, P's four levels, the
+ * product with B exp(a x0) and a subtraction; the add, the guard and the leak
+ * G dx wait off it.
  *
  * Build with -ffp-contract=off and no -ffast-math: the source then fixes every
  * rounding, and a rerun, on a fresh build too, is byte-identical.
@@ -38,42 +50,59 @@ static inline int inside(const double *p, double x)
     return x >= p[VMIN] && x <= p[VMAX];
 }
 
-/* exp(a * guard(x0 + dx)), given e0 = exp(a * guard(x0)). */
-static inline double exp_near(const double *p, double e0, double x0, double dx)
+/* A step's start (u0, v0), the parts of each balance fixed over the step,
+ * ku = I_U - G (u0 - U_ref) and kv = I_IV + G (v0 - V_ref), and the branch
+ * currents iu = IN0A exp(a guard(u0)) and iv = IN0B exp(a guard(v0)). */
+struct start {
+    double u0, v0, ku, kv, iu, iv;
+};
+
+/* A branch current B exp(a guard(x0 + dx)) at a later stage, given
+ * Bx0 = B exp(a guard(x0)) and d = a dx. */
+static inline double branch(const double *p, double B, double Bx0, double x0, double dx, double d)
 {
-    double x = x0 + dx, d = p[A] * dx, d2 = d * d;
-    double poly = (1.0 + d) + d2 * ((0.5 + d * (1.0 / 6.0))
-                                     + d2 * (1.0 / 24.0 + d * (1.0 / 120.0)));
-    if (inside(p, x0) && inside(p, x) && fabs(d) <= 0x1p-8)
-        return e0 * poly;
-    return exp(p[A] * guard(p, x));
+    double d2 = d * d, d4 = d2 * d2;
+    double poly = ((1.0 + d) + d2 * (0.5 + d * (1.0 / 6.0)))
+                  + d4 * (1.0 / 24.0 + d * (1.0 / 120.0));
+    if (inside(p, x0) && inside(p, x0 + dx) && fabs(d) <= 0x1p-8)
+        return Bx0 * poly;
+    return B * exp(p[A] * guard(p, x0 + dx));
 }
 
-/* dU/dt and dV/dt at (u, v), given eu = exp(a * guard(u)) and ev = exp(a * guard(v)). */
-static inline void deriv(const double *p, double u, double v, double eu, double ev,
-                         double *du, double *dv)
+/* The balances C1 dU/dt and C2 dV/dt at the stage (u0 + dxu, v0 + dxv), given
+ * its branch currents iu = IN0A exp(a guard(u)) and iv = IN0B exp(a guard(v)). */
+static inline void balance(const double *p, const struct start *s, double dxu, double dxv,
+                           double iu, double iv, double *bu, double *bv)
 {
-    *du = (p[I_U] - p[IN0B] * ev - p[G] * (u - p[UREF])) * p[INV_C1];
-    *dv = (p[IN0A] * eu - p[I_IV] - p[G] * (v - p[VREF])) * p[INV_C2];
+    *bu = (s->ku - p[G] * dxu) - iv;
+    *bv = iu - (s->kv + p[G] * dxv);
 }
 
-/* The derivative at the stage (u0 + du_s, v0 + dv_s) of a step from (u0, v0). */
-static inline void stage(const double *p, double u0, double v0, double eu, double ev,
-                         double du_s, double dv_s, double *du, double *dv)
+/* The balances (bu, bv) at the stage (u0 + cu b0u, v0 + cv b0v), where
+ * (b0u, b0v) are the previous stage's; cu = c h / C1 and cv = c h / C2. */
+static inline void stage(const double *p, const struct start *s, double cu, double cv,
+                         double b0u, double b0v, double *bu, double *bv)
 {
-    deriv(p, u0 + du_s, v0 + dv_s, exp_near(p, eu, u0, du_s), exp_near(p, ev, v0, dv_s), du, dv);
+    double dxu = cu * b0u, dxv = cv * b0v;
+    double iu = branch(p, p[IN0A], s->iu, s->u0, dxu, (p[A] * cu) * b0u);
+    double iv = branch(p, p[IN0B], s->iv, s->v0, dxv, (p[A] * cv) * b0v);
+    balance(p, s, dxu, dxv, iu, iv, bu, bv);
 }
 
 static inline void rk4(const double *p, double h, double *u, double *v)
 {
-    double half = 0.5 * h, u0 = *u, v0 = *v, du1, dv1, du2, dv2, du3, dv3, du4, dv4;
-    double eu = exp(p[A] * guard(p, u0)), ev = exp(p[A] * guard(p, v0));
-    deriv(p, u0, v0, eu, ev, &du1, &dv1);
-    stage(p, u0, v0, eu, ev, half * du1, half * dv1, &du2, &dv2);
-    stage(p, u0, v0, eu, ev, half * du2, half * dv2, &du3, &dv3);
-    stage(p, u0, v0, eu, ev, h * du3, h * dv3, &du4, &dv4);
-    *u = u0 + h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0;
-    *v = v0 + h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0;
+    double u0 = *u, v0 = *v, hu = h * p[INV_C1], hv = h * p[INV_C2];
+    double bu1, bv1, bu2, bv2, bu3, bv3, bu4, bv4;
+    const struct start s = {
+        u0, v0, p[I_U] - p[G] * (u0 - p[UREF]), p[I_IV] + p[G] * (v0 - p[VREF]),
+        p[IN0A] * exp(p[A] * guard(p, u0)), p[IN0B] * exp(p[A] * guard(p, v0)),
+    };
+    balance(p, &s, 0.0, 0.0, s.iu, s.iv, &bu1, &bv1);
+    stage(p, &s, 0.5 * hu, 0.5 * hv, bu1, bv1, &bu2, &bv2);
+    stage(p, &s, 0.5 * hu, 0.5 * hv, bu2, bv2, &bu3, &bv3);
+    stage(p, &s, hu, hv, bu3, bv3, &bu4, &bv4);
+    *u = u0 + (hu * (1.0 / 6.0)) * ((bu1 + bu4) + 2.0 * (bu2 + bu3));
+    *v = v0 + (hv * (1.0 / 6.0)) * ((bv1 + bv4) + 2.0 * (bv2 + bv3));
 }
 
 /* Take the stops after tuv = {t, u, v}, with ks = {k, e, n, s}, up to the

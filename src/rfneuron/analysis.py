@@ -646,6 +646,13 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
 
     Fewer than 2 points, or equal x values, define no line and raise
     :class:`UndefinedMetricError`.
+
+    ``intercept_Hz`` is the line at x = 0, below a bias sweep's range:
+    ``mean(y) - slope * mean(x)``, the difference of two terms the size of
+    the frequencies.  It keeps only about 1e-14 of their scale, so any
+    change in the points' last digits moves it by about 1e-10 Hz absolute,
+    a large relative move of a small intercept.  Compare it in absolute
+    terms.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

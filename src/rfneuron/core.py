@@ -254,11 +254,9 @@ def rhs(
     gracefully rather than overflowing.
 
     This is the readable oracle of the integrator's hot kernel, the RK4
-    step in C in ``_rk4.c``.  The kernel evaluates these expressions at each
-    of its four stages, but takes a later stage's exponentials from the
-    start state's through a short polynomial when the stage stays inside the
-    guard window and near the start; its step matches the RK4 step built from
-    this function to a relative 1e-15 over the orbit, as the tests pin.
+    step in C in ``_rk4.c``, whose header sets out how it evaluates them;
+    its step matches the RK4 step built from this function to a relative
+    1e-15 over the orbit, as the tests pin.
     """
     if ref is None:
         ref = derive_params(p)

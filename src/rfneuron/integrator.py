@@ -2,14 +2,14 @@
 
 The RK4 step is written once, in C (``_rk4.c``), with ``core.rhs``'s
 derivative; ``core.rhs`` is its readable oracle, and a step matches the RK4
-built from it to a relative 1e-15 over the orbit (``tests/test_integrator.py``).
-The step calls ``exp`` once per channel, at its start state x0.  A later
-stage at x0 + dx reuses it as exp(a x0) exp(a dx), with exp(a dx) a degree-5
-Taylor polynomial, when x0 and x0 + dx both lie inside the guard window and
-|a dx| <= 2^-8, and calls ``exp`` otherwise.  The C file exports one entry, a
-span runner, which owns the stop schedule of a free-running span: it takes
-every stop, switches the drive segment, samples into the trace's column
-buffers, and bisects the first threshold crossing, returning its time.
+built from it to a relative 1e-15 over the orbit and the bias sweep
+(``tests/test_integrator.py``).  Its stages carry each channel's current
+balance, C dx/dt, and take ``exp`` from the start state's through a short
+polynomial when they stay near it; the header of ``_rk4.c`` sets out how.
+The C file exports one entry, a span runner, which owns the stop schedule of
+a free-running span: it takes every stop, switches the drive segment, samples
+into the trace's column buffers, and bisects the first threshold crossing,
+returning its time.
 ``integrate()`` keeps what happens between spans: the handshake at each
 crossing, the hold, the release, ``max_events`` and the size of the row
 buffer.

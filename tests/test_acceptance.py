@@ -115,17 +115,19 @@ def test_criterion_1_bias_frequency_linearity(params):
                      np.asarray([m[1] for m in measured]))
     intercept_ok = abs(fit["intercept_Hz"]) <= LINEARITY_INTERCEPT_FRAC * fit["midrange_Hz"]
     ok = fit["r_squared"] >= LINEARITY_MIN_R2 and intercept_ok
+    # absolute endpoints only match the characterized device within 2.5x
+    f_lo = measured[0][1]
+    f_hi = measured[-1][1]
     report(
         "1 bias-frequency linearity", ok,
         f"R^2={fit['r_squared']:.6f} (>= {LINEARITY_MIN_R2}), "
         f"intercept={fit['intercept_Hz']:.3g} Hz vs midrange {fit['midrange_Hz']:.4g} Hz, "
+        f"f_lo={f_lo:.2f} Hz ({f_lo / 6.0:.2f}x 6 Hz), "
+        f"f_hi={f_hi:.1f} Hz ({f_hi / 2000.0:.2f}x 2000 Hz; each within 2.5x), "
         f"{time.perf_counter() - t0:.1f} s",
     )
     assert fit["r_squared"] >= LINEARITY_MIN_R2
     assert intercept_ok
-    # absolute endpoints only match the characterized device within 2.5x
-    f_lo = measured[0][1]
-    f_hi = measured[-1][1]
     assert 1.0 / 2.5 <= f_lo / 6.0 <= 2.5
     assert 1.0 / 2.5 <= f_hi / 2000.0 <= 2.5
 

@@ -6,6 +6,7 @@ import math
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -678,6 +679,19 @@ class TestLine:
     def test_equal_x_define_no_line(self):
         with pytest.raises(UndefinedMetricError, match="distinct"):
             linear_fit(np.asarray([2.0, 2.0, 2.0]), np.asarray([1.0, 2.0, 3.0]))
+
+    def test_intercept_within_1e_9_hz_of_the_exact_fit(self):
+        # the sweep of criterion 9's YAML (tests/test_acceptance.py): frequencies
+        # of 200-265 Hz at 80-400 pA, so the intercept at 0 A is a difference of
+        # two terms that size; the exact fit is of the same float points
+        rows = run_bias_sweep(CircuitParams(), SweepSetup(n_points=3, I_min=8e-11, I_max=4e-10))
+        points = [(r["I_A"], r["f_res_Hz"]) for r in rows]
+        fit = linear_fit(*np.asarray(points).T)
+        x, y = ([Fraction(c) for c in column] for column in zip(*points))
+        x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+        slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+                 / sum((a - x_mean) ** 2 for a in x))
+        assert abs(fit["intercept_Hz"] - float(y_mean - slope * x_mean)) <= 1e-9
 
 
 # zero-free floats of every size, subnormals included, with ties among the sampled values

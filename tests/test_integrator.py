@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import tempfile
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,9 @@ from rfneuron import (
 from rfneuron.cli import main
 from rfneuron.config import load_config
 from rfneuron import integrator
-from rfneuron.experiments import ChirpSetup, ringdown_metrics, run_ringdown
+from rfneuron.experiments import (
+    SWEEP_STEPS_PER_PERIOD, ChirpSetup, SweepSetup, ringdown_metrics, run_ringdown,
+)
 from rfneuron.handshake import HandshakeFSM
 from rfneuron.integrator import (
     _GRID_SNAP, _KERNEL_SOURCE, _KS, _TUV, _lib, _load_kernel, _span_params,
@@ -203,6 +206,20 @@ class TestDerivative:
         got = kernel_step(p, ref, I_in)(U, V, h)
         assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    # the bias sweep's points: both biases over SweepSetup's range, U and V
+    # within 0.1 V of that bias's equilibrium, and steps up to twice the sweep's
+    @settings(max_examples=300, deadline=None)
+    @given(log_bias=st.floats(math.log(SweepSetup().I_min), math.log(SweepSetup().I_max)),
+           dU=st.floats(-0.1, 0.1), dV=st.floats(-0.1, 0.1), steps=st.floats(1e-3, 2.0))
+    def test_kernel_step_matches_rk4_from_rhs_over_the_bias_sweep(self, log_bias, dU, dV, steps):
+        bias = math.exp(log_bias)
+        p = dataclasses.replace(CircuitParams(), I_IU=bias, I_IV=bias)
+        ref = derive_params(p)
+        U, V, h = ref.U_star + dU, ref.V_star + dV, steps / (SWEEP_STEPS_PER_PERIOD * ref.f_res)
+        expected, _ = rk4_from_rhs(p, ref, 0.0, U, V, h)
+        got = kernel_step(p, ref, 0.0)(U, V, h)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_pulse_drive_stages_are_past_the_polynomial(self):
         p = CircuitParams()
         U, V, I_in, h = PULSE_DRIVE
@@ -219,6 +236,57 @@ class TestDerivative:
         assert (V < p.v_max_guard) != (v2 < p.v_max_guard)
         assert p.exp_slope * abs(v2 - V) <= 2.0 ** -8
         assert kernel_step(p, ref, I_in)(U, V, h) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestBranch:
+    """The kernel's branch current at a later stage, through a test-only export of ``branch()``."""
+
+    @pytest.fixture(scope="class")
+    def branch(self, tmp_path_factory):
+        source = tmp_path_factory.mktemp("probe") / "branch_probe.c"
+        source.write_text(_KERNEL_SOURCE.read_text() + """
+double rf_probe_branch(const double *p, double B, double Bx0, double x0, double dx, double d)
+{
+    return branch(p, B, Bx0, x0, dx, d);
+}
+""")
+        fn = _load_kernel(source).rf_probe_branch
+        fn.argtypes = (ctypes.POINTER(ctypes.c_double), *[ctypes.c_double] * 5)
+        fn.restype = ctypes.c_double
+        p = CircuitParams()
+        prm = (ctypes.c_double * 12)(*_span_params(p, derive_params(p), 0.0))
+        return lambda B, Bx0, x0, dx, d: fn(prm, B, Bx0, x0, dx, d)
+
+    # B = exp(a x0) = 1 and dx = 0 at a start inside the window leave P(d)
+    # alone; a wrong coefficient or grouping moves it by ~d^5/120 ~ 30 ulps
+    # at the edge.  The reference sums exp's series exactly, far past 1e-30.
+    @settings(max_examples=300, deadline=None)
+    @example(d=2.0 ** -8)
+    @example(d=-(2.0 ** -8))
+    @given(d=st.floats(-(2.0 ** -8), 2.0 ** -8))
+    def test_polynomial_is_within_2_ulps_of_exp(self, branch, d):
+        term, exact = Fraction(1), Fraction(0)
+        for n in range(1, 16):
+            exact += term
+            term *= Fraction(d) / n
+        got = branch(1.0, 1.0, 0.75, 0.0, d)
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    # (x0, dx): the stage moves a*x by more than 2^-8, leaves the window at its
+    # top or bottom, or starts outside it; each takes B exp(a guard(x0 + dx))
+    @pytest.mark.parametrize("x0, dx", [
+        (0.75, 1.5 * 2.0 ** -8 / CircuitParams().exp_slope),
+        (0.75, -1.5 * 2.0 ** -8 / CircuitParams().exp_slope),
+        (1.6999, 2e-4),
+        (-0.1999, -2e-4),
+        (1.7001, -2e-4),
+        (-0.5, 0.0),
+    ])
+    def test_stage_past_the_polynomial_calls_exp(self, branch, x0, dx):
+        p = CircuitParams()
+        a, B = p.exp_slope, p.In0_alpha
+        x = min(max(x0 + dx, p.v_min_guard), p.v_max_guard)
+        assert branch(B, 1.0, x0, dx, a * dx) == B * math.exp(a * x)
 
 
 class TestKernelLoader:
