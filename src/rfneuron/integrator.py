@@ -2,10 +2,15 @@
 
 The RK4 step is written once, in C (``_rk4.c``), with ``core.rhs``'s
 derivative; ``core.rhs`` is its readable oracle, and a step matches the RK4
-built from it to a relative 1e-15 over the orbit and the bias sweep
-(``tests/test_integrator.py``).  Its stages carry each channel's current
-balance, C dx/dt, and take ``exp`` from the start state's through a short
-polynomial when they stay near it; the header of ``_rk4.c`` sets out how.
+built from it to a relative 1e-15 over the orbit, the bias sweep and dies with
+unequal channels (``tests/test_integrator.py``).  Each stage carries each
+channel's ``exp`` argument d = a dx: its current balance C dx/dt times the
+stage's scale a c h / C, so 1/C enters only the scales.  ``exp`` is called
+once per channel at the step's start, with the guard off its way inside the
+window.  A later stage near the start takes its branch current as K P(d),
+with P a short polynomial and K (the scale times the start's branch current)
+folded into P's coefficients once per step, so one stage's d follows from
+the last by P and one subtraction.  The header of ``_rk4.c`` sets out how.
 The C file exports one entry, a span runner, which owns the stop schedule of
 a free-running span: it takes every stop, switches the drive segment, samples
 into the trace's column buffers, and bisects the first threshold crossing,

@@ -964,14 +964,20 @@ class TestLanes:
             on_cpus(3, lambda: map_lanes(lane, [0, 1, 2]))
 
     def test_no_lane_takes_an_item_after_a_failure(self, on_cpus):
-        caller, log = threading.get_ident(), []
+        caller, log, helper = threading.get_ident(), [], []
+        failing = threading.Event()
 
         def lane(x):
             log.append(("start", x))
             if threading.get_ident() != caller:  # the helper fails on its first item
                 log.append(("fail", x))
+                helper.append(threading.current_thread())
+                failing.set()
                 raise ValueError(f"lane {x}")
-            time.sleep(0.05)  # the calling lane outlasts the failure
+            # the calling lane's item outlasts the helper, which exits only once
+            # map_lanes has recorded its failure
+            assert failing.wait(timeout=60)
+            helper[0].join()
             return x
 
         with pytest.raises(ValueError, match="lane"):

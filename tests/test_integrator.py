@@ -55,8 +55,8 @@ def zero_program():
     return step(0.0, Polarity.EXC)
 
 
-def kernel_step(p, ref, I_in):
-    """One RK4 step of the span runner as ``step(u, v, h) -> (u, v)``.
+def kernel_step(p, ref, I_in, lib=_lib):
+    """One RK4 step of ``lib``'s span runner as ``step(u, v, h) -> (u, v)``.
 
     The step is a whole ``rf_run`` call: one open-ended segment, no extra
     stop, one stop (``last = 1``, ``dt = t_end = h``) and a threshold that no
@@ -68,7 +68,7 @@ def kernel_step(p, ref, I_in):
 
     def step_fn(u, v, h):
         tuv, ks = _TUV(0.0, u, v), _KS(1, 0, 0, 0)
-        _lib.rf_run(prm, inf, i_in, inf, tuv, ks, 1, 1, h, h, math.inf, h, row, 1)
+        lib.rf_run(prm, inf, i_in, inf, tuv, ks, 1, 1, h, h, math.inf, h, row, 1)
         return tuv[1], tuv[2]
 
     return step_fn
@@ -220,6 +220,30 @@ class TestDerivative:
         got = kernel_step(p, ref, 0.0)(U, V, h)
         assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    # a die as montecarlo.sample_die draws it: C1 and C2 apart (within 15%), the
+    # two branch currents log-normally and the two biases relatively apart, so a
+    # stage scale or bias swapped between the channels moves the step; U and V
+    # within 0.1 V of the die's equilibrium and steps up to 20 us
+    @settings(max_examples=300, deadline=None)
+    @given(fC1=st.floats(0.85, 1.15), fC2=st.floats(0.85, 1.15),
+           ln_fa=st.floats(-0.45, 0.45), ln_fb=st.floats(-0.45, 0.45),
+           fIU=st.floats(0.5, 1.5), fIV=st.floats(0.5, 1.5),
+           dU=st.floats(-0.1, 0.1), dV=st.floats(-0.1, 0.1), I_in=st.floats(-1e-10, 1e-10),
+           h=st.floats(1e-9, 2e-5))
+    def test_kernel_step_matches_rk4_from_rhs_on_unequal_channels(
+            self, fC1, fC2, ln_fa, ln_fb, fIU, fIV, dU, dV, I_in, h):
+        base = CircuitParams()
+        p = dataclasses.replace(
+            base, C1=base.C1 * fC1, C2=base.C2 * fC2,
+            I_n0_alpha=base.In0_alpha * math.exp(ln_fa), I_n0_beta=base.In0_beta * math.exp(ln_fb),
+            I_IU=base.I_IU * fIU, I_IV=base.I_IV * fIV,
+        )
+        ref = derive_params(p)
+        U, V = ref.U_star + dU, ref.V_star + dV
+        expected, _ = rk4_from_rhs(p, ref, I_in, U, V, h)
+        got = kernel_step(p, ref, I_in)(U, V, h)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_pulse_drive_stages_are_past_the_polynomial(self):
         p = CircuitParams()
         U, V, I_in, h = PULSE_DRIVE
@@ -239,15 +263,21 @@ class TestDerivative:
 
 
 class TestBranch:
-    """The kernel's branch current at a later stage, through a test-only export of ``branch()``."""
+    """A later stage's scaled branch current, through a test-only export of ``branch()``.
+
+    The export takes ``sB``, a branch's bias times a stage's scale, and the
+    start exponential ``e0``, and evaluates ``branch()`` with ``fold(sB, e0)``:
+    K P(d) with K = sB e0 folded into P's coefficients.
+    """
 
     @pytest.fixture(scope="class")
     def branch(self, tmp_path_factory):
         source = tmp_path_factory.mktemp("probe") / "branch_probe.c"
         source.write_text(_KERNEL_SOURCE.read_text() + """
-double rf_probe_branch(const double *p, double B, double Bx0, double x0, double dx, double d)
+double rf_probe_branch(const double *p, double sB, double e0, double x0, double dx, double d)
 {
-    return branch(p, B, Bx0, x0, dx, d);
+    const struct fold f = fold(sB, e0);
+    return branch(p, &f, x0, dx, d);
 }
 """)
         fn = _load_kernel(source).rf_probe_branch
@@ -255,26 +285,55 @@ double rf_probe_branch(const double *p, double B, double Bx0, double x0, double 
         fn.restype = ctypes.c_double
         p = CircuitParams()
         prm = (ctypes.c_double * 12)(*_span_params(p, derive_params(p), 0.0))
-        return lambda B, Bx0, x0, dx, d: fn(prm, B, Bx0, x0, dx, d)
+        return lambda sB, e0, x0, dx, d: fn(prm, sB, e0, x0, dx, d)
 
-    # B = exp(a x0) = 1 and dx = 0 at a start inside the window leave P(d)
-    # alone; a wrong coefficient or grouping moves it by ~d^5/120 ~ 30 ulps
-    # at the edge.  The reference sums exp's series exactly, far past 1e-30.
+    @staticmethod
+    def exp_series(d):
+        """exp(d) summed exactly, far past 1e-30."""
+        term, exact = Fraction(1), Fraction(0)
+        for n in range(1, 16):
+            exact += term
+            term *= Fraction(d) / n
+        return exact
+
+    # K = sB e0 = 1 and dx = 0 at a start inside the window leave P(d) alone;
+    # a wrong coefficient or grouping moves it by ~d^5/120 ~ 30 ulps at the edge
     @settings(max_examples=300, deadline=None)
     @example(d=2.0 ** -8)
     @example(d=-(2.0 ** -8))
     @given(d=st.floats(-(2.0 ** -8), 2.0 ** -8))
     def test_polynomial_is_within_2_ulps_of_exp(self, branch, d):
-        term, exact = Fraction(1), Fraction(0)
-        for n in range(1, 16):
-            exact += term
-            term *= Fraction(d) / n
+        exact = self.exp_series(d)
         got = branch(1.0, 1.0, 0.75, 0.0, d)
         assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
+    # the kernel's stage scales on a neuron with C1 != C2: a c h / C for the
+    # arguments of stages 2 and 3 (c = 1/2) and 4 (c = 1), and h / 6C for the
+    # update, each times the bias of the branch that enters that channel's
+    # balance (V's for U, U's for V); a folded coefficient that is not K
+    # times P's moves K P(d) by far more than 2 ulps of K exp(d)
+    SCALED = dataclasses.replace(CircuitParams(), C1=1.1e-12, C2=1.35e-12)
+
+    @pytest.mark.parametrize("channel", ["U", "V"])
+    @pytest.mark.parametrize("scale", ["c=1/2", "c=1", "update"])
+    @settings(max_examples=100, deadline=None)
+    @example(x0=0.75, d=2.0 ** -8)
+    @example(x0=0.75, d=-(2.0 ** -8))
+    @given(x0=st.floats(0.6, 0.9), d=st.floats(-(2.0 ** -8), 2.0 ** -8))
+    def test_folded_polynomial_is_within_2_ulps_of_k_exp(self, branch, channel, scale, x0, d):
+        p, h = self.SCALED, 1e-5
+        a = p.exp_slope
+        hc, bias = (h / p.C1, p.In0_beta) if channel == "U" else (h / p.C2, p.In0_alpha)
+        s = {"c=1/2": a * (0.5 * hc), "c=1": a * hc, "update": hc * (1.0 / 6.0)}[scale]
+        e0 = math.exp(a * x0)
+        K = (s * bias) * e0
+        exact = Fraction(K) * self.exp_series(d)
+        got = branch(s * bias, e0, x0, 0.0, d)
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
     # (x0, dx): the stage moves a*x by more than 2^-8, leaves the window at its
-    # top or bottom, or starts outside it; each takes B exp(a guard(x0 + dx))
-    @pytest.mark.parametrize("x0, dx", [
+    # top or bottom, or starts outside it; each takes sB exp(a guard(x0 + dx))
+    PAST = pytest.mark.parametrize("x0, dx", [
         (0.75, 1.5 * 2.0 ** -8 / CircuitParams().exp_slope),
         (0.75, -1.5 * 2.0 ** -8 / CircuitParams().exp_slope),
         (1.6999, 2e-4),
@@ -282,11 +341,26 @@ double rf_probe_branch(const double *p, double B, double Bx0, double x0, double 
         (1.7001, -2e-4),
         (-0.5, 0.0),
     ])
-    def test_stage_past_the_polynomial_calls_exp(self, branch, x0, dx):
+
+    @staticmethod
+    def past_the_polynomial(branch, x0, dx, s):
         p = CircuitParams()
-        a, B = p.exp_slope, p.In0_alpha
+        a, sB = p.exp_slope, s * p.In0_alpha
         x = min(max(x0 + dx, p.v_min_guard), p.v_max_guard)
-        assert branch(B, 1.0, x0, dx, a * dx) == B * math.exp(a * x)
+        e0 = math.exp(a * min(max(x0, p.v_min_guard), p.v_max_guard))
+        return branch(sB, e0, x0, dx, a * dx), sB * math.exp(a * x)
+
+    @PAST
+    def test_stage_past_the_polynomial_calls_exp(self, branch, x0, dx):
+        got, expected = self.past_the_polynomial(branch, x0, dx, 1.0)
+        assert got == expected
+
+    @PAST
+    def test_scaled_stage_past_the_polynomial_calls_exp(self, branch, x0, dx):
+        # V's stage-4 scale a h / C2 at h = 10 us on SCALED
+        got, expected = self.past_the_polynomial(
+            branch, x0, dx, CircuitParams().exp_slope * (1e-5 / self.SCALED.C2))
+        assert got == expected
 
 
 class TestKernelLoader:
@@ -341,6 +415,26 @@ class TestKernelLoader:
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert _load_kernel(source)._name == first._name
+
+    # orbit states, a later stage leaving the window, a stage across its top
+    # either way, and a drive whose later stages are all past the polynomial
+    @pytest.mark.parametrize("U, V, I_in, h", [
+        (0.70, 0.80, -3e-11, 1e-5),
+        (0.65, 0.85, 0.0, 2e-5),
+        (0.80, 0.72, 5e-11, 3e-6),
+        (*LATER_STAGE_EXIT, -3e-11, 1e-5),
+        EDGE_STAGE_EXIT,
+        EDGE_STAGE_ENTRY,
+        PULSE_DRIVE,
+    ])
+    def test_fresh_build_steps_bit_identically(self, source, U, V, I_in, h):
+        fresh = _load_kernel(source)
+        assert fresh._name != _lib._name
+        p = CircuitParams()
+        ref = derive_params(p)
+        cached = kernel_step(p, ref, I_in)(U, V, h)
+        built = kernel_step(p, ref, I_in, fresh)(U, V, h)
+        assert [x.hex() for x in built] == [x.hex() for x in cached]
 
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not on PATH")
     def test_source_compiles_as_strict_c99_without_warnings(self):
@@ -760,6 +854,26 @@ class TestStopSchedule:
     @settings(max_examples=80, deadline=None)
     def test_runner_matches_the_per_stop_loop(self, run):
         assert outcome(integrate, run) == outcome(reference_integrate, run)
+
+    def test_release_just_past_a_grid_stop_stands_in_for_it(self):
+        # a scripted acknowledge puts the first release less than dt * _GRID_SNAP
+        # above grid stop k: the hold ends before stop k, and the release row
+        # stands in for it
+        p = dataclasses.replace(CircuitParams(), V_th=0.84)
+        s0, prog = equilibrium_state(p), step(0.5, Polarity.EXC)
+        cfg, T_spk = IntegratorConfig(t_end=0.01, sample_stride=1), 60e-6
+        dt = cfg.dt
+        first = integrate(s0, p, prog, cfg, HandshakeConfig(T_spk=T_spk), max_events=1)[1][0]
+        k = math.ceil((first.t_req + T_spk) / dt) + 3
+        delay = (k * dt + 0.5 * dt * _GRID_SNAP) - T_spk - first.t_req
+        protocol = HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=T_spk,
+                                   ack_delays=(delay, 0.0, 0.0))
+        run = (s0, p, prog, cfg, protocol, 3)
+        trace, events = integrate(*run)
+        assert len(events) == 3
+        assert 0.0 < events[0].t_release - k * dt < dt * _GRID_SNAP
+        assert outcome(integrate, run) == outcome(reference_integrate, run)
+        assert np.min(np.diff(trace.t)) > dt * _GRID_SNAP
 
 
 _CHIRP = ChirpSetup().program(v_limit=CircuitParams().V_DD)
