@@ -33,12 +33,9 @@ from .analysis import (
     FiringRate,
     MetricsRecord,
     TuningMap,
-    extract_baseline,
-    extract_first_peak,
     fi_curve,
     firing_rate,
     linear_fit,
-    q_factor,
     tuning_map,
 )
 from .experiments import (

@@ -25,18 +25,13 @@ to such a reference implementation index for index.  A peak is never the
 first or last sample; its time and value are refined by a parabola through
 it and both neighbours, for every peak read at once.
 
-:func:`ringdown_metrics` makes one candidate pass over each channel, and
-V's turns give its first peak, its peaks and its troughs (the peaks of
--V).  A first peak is read between the stimulus end and the first clamped
-sample, since the samples after a handshake hold belong to a spike; its
-walk stops at the first candidate prominent within that window.  The
-frequency and Q read the peaks of all the V samples, Q the troughs too.  A
-trace with clamped samples has neither: the run fired, and its V samples
-hold a spike train, not a resonance.  Each public extractor scans what it
-reads itself.  A metric the trace does not support raises
+:func:`ringdown_metrics` is the one entry from a ringdown to these numbers,
+and its docstring defines each.  It makes one candidate pass over each
+channel, and V's turns give its first peak, its peaks and its troughs (the
+peaks of -V); the first-peak walk stops at the first candidate prominent
+within its window.  A metric the trace does not support raises
 :class:`UndefinedMetricError`, which :func:`ringdown_metrics` turns into a
-flag; a ``ValueError`` is a caller error, such as a settle window longer
-than the trace, and propagates.
+flag; a ``ValueError`` is a caller error and propagates.
 
 Independent runs (the levels of :func:`fi_curve`, the rows of
 :func:`tuning_map`, the points of ``experiments.run_bias_sweep``, the dies
@@ -73,10 +68,6 @@ __all__ = [
     "TuningMap",
     "PEAK_MIN_PROMINENCE",
     "MAX_LANES",
-    "extract_baseline",
-    "extract_first_peak",
-    "resonant_frequency_estimates",
-    "q_factor",
     "ringdown_metrics",
     "firing_rate",
     "linear_fit",
@@ -154,22 +145,17 @@ class TuningMap:
         return self.frequencies[int(np.argmax(self.counts[row]))]
 
 
-def extract_baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
-    """Mean (U, V) over the final ``settle_window`` seconds of the trace.
+def _baseline(tr: Trace, settle_window: float) -> tuple[float, float]:
+    """Mean (U, V) over the final ``settle_window`` seconds, a positive span, of the trace.
 
-    A window with clamped or non-finite samples has no baseline and raises
-    :class:`UndefinedMetricError`: a handshake inside it would bias the mean
-    with held voltages.  A ``settle_window`` that is not positive, or longer
-    than the trace, is a caller error and raises ``ValueError``.
+    A window with clamped or non-finite samples raises
+    :class:`UndefinedMetricError`, one longer than the trace ``ValueError``.
     """
-    if settle_window <= 0.0:
-        raise ValueError("settle_window must be positive")
     t_hi = tr.t[-1]
     t_lo = t_hi - settle_window
     if t_lo < tr.t[0]:
-        raise ValueError(
-            f"settle window {settle_window!r} s exceeds trace span {t_hi - tr.t[0]!r} s"
-        )
+        raise ValueError(f"settle window {float(settle_window)!r} s exceeds trace span "
+                         f"{float(t_hi - tr.t[0])!r} s")
     lo = int(np.searchsorted(tr.t, t_lo))  # the first sample at or after t_lo
     if np.any(tr.clamped[lo:]):
         raise UndefinedMetricError("settle window contains clamped samples")
@@ -246,11 +232,6 @@ def _prominent(x, turns, min_prominence: float, lo: int = 0, sign: int = 1,
     return peaks[:1] if first else peaks
 
 
-def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Indices of the local maxima of ``x`` at least ``min_prominence`` prominent."""
-    return _prominent(x, _turns(x), min_prominence)
-
-
 def _lowest_back_to_higher(heights: list[float], gaps: list[float]) -> list[float]:
     """Per peak, the lowest sample back to the nearest strictly higher peak.
 
@@ -308,17 +289,6 @@ def _refine(t: np.ndarray, peaks: list) -> list:
     return [(times[b - len(i):b], values[b - len(i):b]) for (_, i, _), b in zip(peaks, ends)]
 
 
-def _channel_peaks(t, x, turns=None) -> tuple[np.ndarray, np.ndarray]:
-    """Prominent local maxima of ``x``, refined; ``turns`` is the pass of a finite ``x``.
-
-    Without ``turns`` a non-finite sample raises :class:`UndefinedMetricError`.
-    """
-    if turns is None:
-        _require_finite(x)
-        turns = _turns(x)
-    return _refine(t, [(x, _prominent(x, turns, PEAK_MIN_PROMINENCE), 1)])[0]
-
-
 def _post_stimulus(tr: Trace, t_stim_end: float) -> tuple[int, int]:
     """Bounds of the free samples from ``t_stim_end`` to the first clamped one."""
     lo = int(np.searchsorted(tr.t, t_stim_end))
@@ -326,33 +296,22 @@ def _post_stimulus(tr: Trace, t_stim_end: float) -> tuple[int, int]:
     return lo, lo + (int(held.argmax()) if held.any() else len(held))
 
 
-def _first_peaks(tr: Trace, lo: int, hi: int, v_turns=None) -> list:
+def _first_peaks(tr: Trace, lo: int, hi: int, v_turns: tuple) -> list:
     """U's and V's first peak in ``lo:hi``, as :func:`_refine` groups.
 
-    ``v_turns`` is the candidate pass of ``V[:hi]`` where the caller has made it.
+    ``v_turns`` is the candidate pass of ``V[:hi]``; U's is made here.
     """
     if hi - lo < 3:
         raise UndefinedMetricError("not enough post-stimulus samples for peak search")
+    u = tr.U[:hi]
     groups = []
-    for x, turns in ((tr.U[:hi], None), (tr.V[:hi], v_turns)):
+    for x, turns in ((u, _turns(u)), (tr.V[:hi], v_turns)):
         _require_finite(x[lo:])
-        i = _prominent(x, _turns(x) if turns is None else turns, PEAK_MIN_PROMINENCE, lo,
-                       first=True)
+        i = _prominent(x, turns, PEAK_MIN_PROMINENCE, lo, first=True)
         if len(i) == 0:
             raise UndefinedMetricError("no local maximum after the stimulus")
         groups.append((x, i, 1))
     return groups
-
-
-def extract_first_peak(tr: Trace, t_stim_end: float) -> tuple[float, float]:
-    """First local maximum of U and of V after the stimulus ends.
-
-    Both are read between the stimulus end and the first clamped sample; a
-    channel with no peak there (constant or monotone, or cut short by a
-    spike) raises :class:`UndefinedMetricError`.
-    """
-    (_, u), (_, v) = _refine(tr.t, _first_peaks(tr, *_post_stimulus(tr, t_stim_end)))
-    return float(u[0]), float(v[0])
 
 
 def _median(x: np.ndarray) -> float:
@@ -444,28 +403,22 @@ def _fft_peak_frequency(t: np.ndarray, x: np.ndarray) -> float:
     return float((k + delta) / (m * dt))
 
 
-def _free_v(tr: Trace, turns=None) -> tuple:
-    """The candidate pass of V (``turns`` where made) of a trace that never fired.
-
-    A clamped sample means the run fired, and its V samples hold a spike
-    train, not a resonance; that, like a non-finite sample, raises
-    :class:`UndefinedMetricError`.
-    """
+def _require_free(tr: Trace) -> None:
+    """A trace that fired, or holds a non-finite V sample, raises :class:`UndefinedMetricError`."""
     if np.any(tr.clamped):
         raise UndefinedMetricError("the trace holds clamped samples: the run fired")
     _require_finite(tr.V)
-    return _turns(tr.V) if turns is None else turns
-
-
-def resonant_frequency_estimates(tr: Trace) -> tuple[float, float]:
-    """(median inter-peak estimate, spectral estimate) of the V oscillation."""
-    return _frequency_estimates(tr.t, tr.V, _channel_peaks(tr.t, tr.V, _free_v(tr)))
 
 
 def _frequency_estimates(
     t: np.ndarray, v: np.ndarray, peaks: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float]:
-    """:func:`resonant_frequency_estimates` of the V samples ``t, v`` with peaks ``peaks``."""
+    """(median inter-peak estimate, spectral estimate) of the V samples ``t, v``.
+
+    ``peaks`` are V's refined peaks.  The first estimate is the median of
+    their inverse intervals, the second :func:`_fft_peak_frequency` of all
+    the samples.  Fewer than 3 peaks raise :class:`UndefinedMetricError`.
+    """
     times, _ = peaks
     if len(times) < 3:
         raise UndefinedMetricError("fewer than 3 oscillation peaks detected")
@@ -475,11 +428,17 @@ def _frequency_estimates(
     return f_peaks, f_fft
 
 
-def q_factor(tr: Trace) -> float:
-    """Quality factor from the exponential decay of the V peak envelope.
+def _extrema(v: np.ndarray, turns: tuple) -> list:
+    """V's prominent peaks and troughs (the peaks of -V), as :func:`_refine` groups."""
+    return [(v, _prominent(v, turns, PEAK_MIN_PROMINENCE, sign=sign), sign) for sign in (1, -1)]
 
-    Fits ln(peak - baseline) against peak time; the negative reciprocal of
-    the slope is the envelope time constant tau and Q = pi * f_res * tau.
+
+def _q_factor(peaks: tuple, troughs: tuple) -> float:
+    """Quality factor from the exponential decay of V's refined peaks and troughs.
+
+    ``troughs`` are the peaks of -V.  Fits ln(peak - baseline) against peak
+    time; the negative reciprocal of the slope is the envelope time constant
+    tau and Q = pi * f_res * tau.
 
     The oscillation center is taken as the midline between the late peak
     and trough envelopes (a plain tail mean is biased when ringing
@@ -488,20 +447,9 @@ def q_factor(tr: Trace) -> float:
     excursions of the exponential-state oscillator are asymmetric in
     voltage and would tilt the fitted slope.
 
-    A non-decaying envelope returns ``inf`` (undamped flag-equivalent); a
-    trace with fewer than 5 usable peaks, or with clamped samples, raises
-    :class:`UndefinedMetricError`.
+    A non-decaying envelope returns ``inf`` (undamped flag-equivalent);
+    fewer than 5 usable peaks raise :class:`UndefinedMetricError`.
     """
-    return _q_factor(*_refine(tr.t, _extrema(tr.V, _free_v(tr))))
-
-
-def _extrema(v: np.ndarray, turns: tuple) -> list:
-    """V's prominent peaks and troughs (the peaks of -V), as :func:`_refine` groups."""
-    return [(v, _prominent(v, turns, PEAK_MIN_PROMINENCE, sign=sign), sign) for sign in (1, -1)]
-
-
-def _q_factor(peaks: tuple, troughs: tuple) -> float:
-    """:func:`q_factor` of V's refined peaks and troughs (the peaks of -V)."""
     peak_t, peak_v = peaks
     trough_t, trough_v = troughs
     trough_v = -trough_v
@@ -531,11 +479,37 @@ def _q_factor(peaks: tuple, troughs: tuple) -> float:
 
 
 def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> MetricsRecord:
-    """Assemble the four ringdown metrics, flagging each that is undefined."""
+    """The ringdown metrics of ``tr``, each undefined one NaN and named in ``flags``.
+
+    - Baselines: each node's mean over the final ``settle_window`` seconds.
+      Clamped or non-finite samples there (a handshake would bias the mean
+      with held voltages) leave both undefined: ``baseline-undefined``.
+    - First peaks: each node's first prominent local maximum between
+      ``t_stim_end`` and the first clamped sample, since the samples after a
+      hold belong to a spike.  A node constant, monotone or non-finite
+      there, or cut short by a spike, leaves both undefined: ``no-peak``.
+    - ``f_res``: the median inverse interval of V's peaks, at least 3
+      (``f-res-undefined``); ``freq-estimators-disagree`` when the spectral
+      estimate differs by more than ``FREQ_CONSISTENCY_TOL``.
+    - Q: from V's decaying peak envelope (see :func:`_q_factor`);
+      ``infinite-q`` when it does not decay, ``q-undefined`` with fewer
+      than 5 usable peaks.
+    - A trace with a clamped or non-finite V sample has no ``f_res`` and no
+      Q: a run that fired holds a spike train in V, not a resonance.
+
+    ``overflow`` is flagged when the trace marks any sample so.  A caller
+    error raises ``ValueError`` before any search: a ``settle_window`` that
+    is not positive (NaN included) or longer than the trace, or a
+    ``t_stim_end`` that is not finite.
+    """
+    if not settle_window > 0.0:
+        raise ValueError(f"settle_window must be positive, got {float(settle_window)!r}")
+    if not math.isfinite(t_stim_end):
+        raise ValueError(f"t_stim_end must be finite, got {float(t_stim_end)!r}")
     flags: list[str] = []
     baseline_U = baseline_V = first_peak_U = first_peak_V = f_res = q = math.nan
     try:
-        baseline_U, baseline_V = extract_baseline(tr, settle_window)
+        baseline_U, baseline_V = _baseline(tr, settle_window)
     except UndefinedMetricError:
         # a die whose ringdown spiked holds clamped samples in the tail
         flags.append("baseline-undefined")
@@ -551,7 +525,8 @@ def ringdown_metrics(tr: Trace, t_stim_end: float, settle_window: float) -> Metr
         flags.append("no-peak")
     extrema: list = []
     try:
-        extrema = _extrema(tr.V, _free_v(tr, v_turns))
+        _require_free(tr)
+        extrema = _extrema(tr.V, v_turns)
     except UndefinedMetricError:
         flags += ["f-res-undefined", "q-undefined"]
     # every peak read is refined in one pass
@@ -645,7 +620,8 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     """Least-squares line y = slope*x + intercept with R^2 and the mid-range y.
 
     Fewer than 2 points, or equal x values, define no line and raise
-    :class:`UndefinedMetricError`.
+    :class:`UndefinedMetricError`.  A non-finite point, or unequal lengths
+    of ``x`` and ``y``, is a caller error and raises ``ValueError``.
 
     ``intercept_Hz`` is the line at x = 0, below a bias sweep's range:
     ``mean(y) - slope * mean(x)``, the difference of two terms the size of
@@ -656,6 +632,10 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(x) != len(y):
+        raise ValueError(f"a line fit needs as many y as x values, got {len(x)} and {len(y)}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("a line fit takes finite points only")
     if len(x) < 2:
         raise UndefinedMetricError(f"a line fit needs at least 2 finite points, got {len(x)}")
     slope, intercept = _line(x, y)

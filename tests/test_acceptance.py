@@ -30,7 +30,7 @@ from rfneuron import (
     step,
     tuning_map,
 )
-from rfneuron.analysis import linear_fit, resonant_frequency_estimates
+from rfneuron.analysis import linear_fit
 from rfneuron.cli import main as cli_main
 from rfneuron.experiments import (
     ChirpSetup,

@@ -1,4 +1,4 @@
-"""Metric extractors validated against synthetic traces with known answers."""
+"""Ringdown metrics validated against synthetic traces with known answers."""
 
 import dataclasses
 import json
@@ -24,12 +24,9 @@ from rfneuron import (
     UndefinedMetricError,
     derive_params,
     experiments,
-    extract_baseline,
-    extract_first_peak,
     fi_curve,
     integrate,
     linear_fit,
-    q_factor,
     spiking_chirp,
     step,
     tuning_map,
@@ -41,16 +38,21 @@ from rfneuron.analysis import (
     PEAK_MIN_PROMINENCE,
     MetricsRecord,
     TuningMap,
-    _channel_peaks,
-    _find_peaks,
+    _baseline,
+    _fft_peak_frequency,
+    _frequency_estimates,
     _hann,
     _line,
     _median,
+    _post_stimulus,
     _prominent,
+    _q_factor,
+    _refine,
+    _require_finite,
+    _require_free,
     _smooth_length,
     _turns,
     map_lanes,
-    resonant_frequency_estimates,
     ringdown_metrics,
 )
 from rfneuron.cli import write_csv, write_json
@@ -82,12 +84,82 @@ def synthetic_ringdown(f=170.0, q=129.0, baseline=0.75, amp=0.05,
     )
 
 
+def search(x, min_prominence):
+    """The peak search of ``x`` alone: a candidate pass of its own, then the prominence test."""
+    return _prominent(x, _turns(x), min_prominence)
+
+
+def refined_peaks(t, x):
+    """The prominent local maxima of ``x``, searched alone and refined."""
+    return _refine(t, [(x, search(x, PEAK_MIN_PROMINENCE), 1)])[0]
+
+
+def first_peaks_alone(tr, t_stim_end):
+    """U's and V's first peak, each the first peak of a search of the post-stimulus window alone."""
+    lo, hi = _post_stimulus(tr, t_stim_end)
+    groups = []
+    for x in (tr.U, tr.V):
+        _require_finite(x[lo:hi])
+        i = search(x[lo:hi], PEAK_MIN_PROMINENCE)[:1] + lo
+        if len(i) == 0:
+            raise UndefinedMetricError("no local maximum after the stimulus")
+        groups.append((x, i, 1))
+    (_, u), (_, v) = _refine(tr.t, groups)
+    return float(u[0]), float(v[0])
+
+
+def frequency_alone(tr):
+    """(inter-peak, spectral) frequency of V, its peaks searched alone."""
+    _require_free(tr)
+    return _frequency_estimates(tr.t, tr.V, refined_peaks(tr.t, tr.V))
+
+
+def q_alone(tr):
+    """Q of V, its peaks and its troughs (the peaks of -V) each searched alone."""
+    _require_free(tr)
+    return _q_factor(refined_peaks(tr.t, tr.V), refined_peaks(tr.t, -tr.V))
+
+
+def metrics_alone(tr, t_stim_end, settle_window):
+    """The ``ringdown_metrics`` record with each metric searched alone, as its oracle."""
+    flags = []
+    baseline_U = baseline_V = first_peak_U = first_peak_V = f_res = q = math.nan
+    try:
+        baseline_U, baseline_V = _baseline(tr, settle_window)
+    except UndefinedMetricError:
+        flags.append("baseline-undefined")
+    try:
+        first_peak_U, first_peak_V = first_peaks_alone(tr, t_stim_end)
+    except UndefinedMetricError:
+        flags.append("no-peak")
+    try:
+        f_res, f_fft = frequency_alone(tr)
+        if abs(f_res - f_fft) > FREQ_CONSISTENCY_TOL * f_res:
+            flags.append("freq-estimators-disagree")
+    except UndefinedMetricError:
+        flags.append("f-res-undefined")
+    try:
+        q = q_alone(tr)
+        if math.isinf(q):
+            flags.append("infinite-q")
+    except UndefinedMetricError:
+        flags.append("q-undefined")
+    if tr.any_overflow:
+        flags.append("overflow")
+    return MetricsRecord(baseline_U, baseline_V, first_peak_U, first_peak_V, f_res, q,
+                         tuple(flags))
+
+
+def metrics(tr, t_stim_end=2e-3):
+    """``ringdown_metrics`` of ``tr`` with a settle window of its last fifth."""
+    return ringdown_metrics(tr, t_stim_end, tr.t[-1] / 5)
+
+
 class TestExtractBaseline:
     def test_constant_trace(self):
-        tr = synthetic_ringdown(amp=0.0)
-        u, v = extract_baseline(tr, settle_window=tr.t[-1] / 5)
-        assert u == pytest.approx(0.75, rel=1e-12)
-        assert v == pytest.approx(0.75, rel=1e-12)
+        m = metrics(synthetic_ringdown(amp=0.0))
+        assert m.baseline_U == pytest.approx(0.75, rel=1e-12)
+        assert m.baseline_V == pytest.approx(0.75, rel=1e-12)
 
     def test_equilibrium_run_recovers_star_point(self):
         p = CircuitParams()
@@ -95,35 +167,49 @@ class TestExtractBaseline:
         cfg = IntegratorConfig(dt=1e-6, t_end=0.02, sample_stride=50)
         s0 = NeuronState(t=0.0, U=dp.U_star, V=dp.V_star)
         tr, _ = integrate(s0, p, step(0.0, Polarity.EXC), cfg)
-        u, v = extract_baseline(tr, 5e-3)
-        assert u == pytest.approx(dp.U_star, abs=1e-9)
-        assert v == pytest.approx(dp.V_star, abs=1e-9)
+        m = ringdown_metrics(tr, 0.0, 5e-3)
+        assert m.baseline_U == pytest.approx(dp.U_star, abs=1e-9)
+        assert m.baseline_V == pytest.approx(dp.V_star, abs=1e-9)
 
     def test_residual_ring_bounds_the_error(self):
         eps = 1e-3
         tr = synthetic_ringdown(amp=eps, q=1e5)  # essentially undamped tail
-        u, _ = extract_baseline(tr, settle_window=tr.t[-1] / 4)
-        assert abs(u - 0.75) < eps
+        m = ringdown_metrics(tr, 2e-3, settle_window=tr.t[-1] / 4)
+        assert abs(m.baseline_U - 0.75) < eps
 
     def test_window_larger_than_trace_rejected(self):
         tr = synthetic_ringdown()
         with pytest.raises(ValueError):
-            extract_baseline(tr, settle_window=10 * tr.t[-1])
+            ringdown_metrics(tr, 2e-3, settle_window=10 * tr.t[-1])
 
-    def test_window_larger_than_trace_is_no_flag(self):
-        # a caller error propagates; only an undefined metric becomes a flag
+    def test_window_larger_than_trace_is_no_flag(self, monkeypatch):
+        # a caller error propagates before any search, with no numpy warning; only an
+        # undefined metric becomes a flag
         tr = synthetic_ringdown(duration=0.05)
-        with pytest.raises(ValueError, match="exceeds trace span"):
-            ringdown_metrics(tr, 1.1e-3, settle_window=10.0)
+        passes = []
+        monkeypatch.setattr(analysis, "_turns", spy(analysis._turns, passes))
+        for t_stim_end, settle_window, match in [
+            (1.1e-3, 10.0, "exceeds trace span"),
+            (1.1e-3, math.nan, "settle_window must be positive"),
+            (math.nan, 0.01, "t_stim_end must be finite"),
+            (math.inf, 0.01, "t_stim_end must be finite"),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match) as info:
+                    ringdown_metrics(tr, t_stim_end, settle_window)
+            assert "np." not in str(info.value)  # plain floats, not numpy reprs
+        assert passes == []
 
     @pytest.mark.parametrize("column, value", [("U", math.nan), ("V", math.inf)])
     def test_non_finite_sample_in_window_rejected(self, column, value):
         tr = synthetic_ringdown()
         getattr(tr, column)[-3] = value
         with pytest.raises(UndefinedMetricError, match="non-finite"):
-            extract_baseline(tr, settle_window=tr.t[-1] / 5)
-        metrics = ringdown_metrics(tr, 2e-3, tr.t[-1] / 5)
-        assert "baseline-undefined" in metrics.flags
+            _baseline(tr, settle_window=tr.t[-1] / 5)
+        m = metrics(tr)
+        assert "baseline-undefined" in m.flags
+        assert math.isnan(m.baseline_U) and math.isnan(m.baseline_V)
 
 
 class TestExtractFirstPeak:
@@ -135,14 +221,14 @@ class TestExtractFirstPeak:
         tr = synthetic_ringdown(f=f, q=q, baseline=0.75, amp=amp, t0=2e-3,
                                 phase=-math.pi / 2)
         expected = 0.75 + amp * math.exp(-math.pi / (4 * q))
-        u_pk, v_pk = extract_first_peak(tr, t_stim_end=2e-3)
-        assert u_pk == pytest.approx(expected, abs=2e-4)
-        assert v_pk == pytest.approx(expected, abs=2e-4)
+        m = metrics(tr, t_stim_end=2e-3)
+        assert m.first_peak_U == pytest.approx(expected, abs=2e-4)
+        assert m.first_peak_V == pytest.approx(expected, abs=2e-4)
 
     def test_constant_trace_has_no_peak(self):
-        tr = synthetic_ringdown(amp=0.0)
-        with pytest.raises(UndefinedMetricError):
-            extract_first_peak(tr, t_stim_end=1e-3)
+        m = metrics(synthetic_ringdown(amp=0.0), t_stim_end=1e-3)
+        assert "no-peak" in m.flags
+        assert math.isnan(m.first_peak_U) and math.isnan(m.first_peak_V)
 
     def test_monotone_tail_has_no_peak(self):
         t = np.linspace(0, 1, 2000)
@@ -150,8 +236,9 @@ class TestExtractFirstPeak:
         tr = Trace(t=t, U=x, V=x, I_in=np.zeros_like(t),
                    clamped=np.zeros_like(t, dtype=bool),
                    overflow=np.zeros_like(t, dtype=bool))
-        with pytest.raises(UndefinedMetricError):
-            extract_first_peak(tr, t_stim_end=0.0)
+        m = metrics(tr, t_stim_end=0.0)
+        assert "no-peak" in m.flags
+        assert math.isnan(m.first_peak_U) and math.isnan(m.first_peak_V)
 
     # V rises towards the threshold and the handshake clamps it, holding U at the
     # reset level; the free samples after the release ring on
@@ -173,7 +260,7 @@ class TestExtractFirstPeak:
         # artefact, as the first peak
         tr = self.held_trace(self.RISE, self.HELD, self.RING)
         with pytest.raises(UndefinedMetricError):
-            extract_first_peak(tr, t_stim_end=0.0)
+            first_peaks_alone(tr, t_stim_end=0.0)
         m = ringdown_metrics(tr, t_stim_end=0.0, settle_window=2e-4)
         assert "no-peak" in m.flags
         assert math.isnan(m.first_peak_U) and math.isnan(m.first_peak_V)
@@ -182,8 +269,9 @@ class TestExtractFirstPeak:
         before = [0.70, 0.75, 0.73, 0.76, 0.80]
         tr = self.held_trace(before, self.HELD, self.RING)
         free = self.held_trace(before, [], [])
-        assert extract_first_peak(tr, 0.0) == extract_first_peak(free, 0.0)
-        assert extract_first_peak(tr, 0.0)[0] == pytest.approx(0.75, abs=0.01)
+        held, alone = (ringdown_metrics(x, 0.0, settle_window=1e-4) for x in (tr, free))
+        assert (held.first_peak_U, held.first_peak_V) == (alone.first_peak_U, alone.first_peak_V)
+        assert held.first_peak_U == pytest.approx(0.75, abs=0.01)
 
     def test_criterion_8_die_that_fired_has_no_first_peak(self):
         # die 27 of the default population spikes 55 times; between the
@@ -231,8 +319,9 @@ def spy(fn, calls):
 
 @pytest.fixture(scope="module")
 def reference_find_peaks():
-    """scipy's peak finder, the oracle; scipy is a test-only dependency."""
-    return pytest.importorskip("scipy.signal").find_peaks
+    """scipy's peak finder, the oracle; scipy is a test dependency, and without it this fails."""
+    from scipy.signal import find_peaks
+    return find_peaks
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +337,7 @@ class TestFindPeaks:
     def test_matches_reference_on_random_arrays(self, reference_find_peaks, x):
         for prominence in PROMINENCES:
             expected = reference_find_peaks(x, prominence=prominence)[0]
-            np.testing.assert_array_equal(_find_peaks(x, prominence), expected)
+            np.testing.assert_array_equal(search(x, prominence), expected)
 
     @pytest.mark.parametrize("x", [[], [1.0], [1.0, 2.0], [2.0, 1.0], [0.5] * 7],
                              ids=["empty", "one", "two-rising", "two-falling", "constant"])
@@ -256,11 +345,11 @@ class TestFindPeaks:
         x = np.asarray(x, dtype=float)
         for prominence in PROMINENCES:
             assert len(reference_find_peaks(x, prominence=prominence)[0]) == 0
-            assert len(_find_peaks(x, prominence)) == 0
+            assert len(search(x, prominence)) == 0
 
     def test_plateau_counts_at_its_middle_and_not_at_an_edge(self):
         x = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0])
-        np.testing.assert_array_equal(_find_peaks(x, 0.0), [2])
+        np.testing.assert_array_equal(search(x, 0.0), [2])
 
     @pytest.mark.parametrize("name", ["ringdown", "chirp"])
     def test_matches_reference_on_default_traces(self, reference_find_peaks,
@@ -269,7 +358,7 @@ class TestFindPeaks:
         for x in (tr.U, tr.V, -tr.U, -tr.V):
             expected = reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0]
             assert len(expected) > 10
-            np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+            np.testing.assert_array_equal(search(x, PEAK_MIN_PROMINENCE), expected)
 
     @pytest.mark.parametrize("x, expected", [
         (SHOULDER, [1]),
@@ -283,7 +372,7 @@ class TestFindPeaks:
                             spy(analysis._lowest_back_to_higher, stack_passes))
         np.testing.assert_array_equal(reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0],
                                       expected)
-        np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+        np.testing.assert_array_equal(search(x, PEAK_MIN_PROMINENCE), expected)
         assert len(stack_passes) == 2  # the bound decided no search; the exact pass ran
 
     @pytest.mark.parametrize("x, undecided", [
@@ -303,7 +392,7 @@ class TestFindPeaks:
         monkeypatch.setattr(analysis, "_lowest_back_to_higher",
                             spy(analysis._lowest_back_to_higher, passes))
         x = np.asarray(x) * PEAK_MIN_PROMINENCE
-        np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE),
+        np.testing.assert_array_equal(search(x, PEAK_MIN_PROMINENCE),
                                       reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0])
         # one pass each way, over the tops from the first undecided one to the last
         assert [len(heights) for heights, _ in passes] == [len(undecided)] * 2
@@ -315,7 +404,7 @@ class TestFindPeaks:
         x = synthetic_ringdown().V
         expected = reference_find_peaks(x, prominence=PEAK_MIN_PROMINENCE)[0]
         assert len(expected) > 10
-        np.testing.assert_array_equal(_find_peaks(x, PEAK_MIN_PROMINENCE), expected)
+        np.testing.assert_array_equal(search(x, PEAK_MIN_PROMINENCE), expected)
         assert stack_passes == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -323,7 +412,7 @@ class TestFindPeaks:
         tr = synthetic_ringdown()
         tr.U[len(tr) // 2] = tr.V[len(tr) // 2] = bad
         with pytest.raises(UndefinedMetricError, match="non-finite"):
-            _channel_peaks(tr.t, tr.V)
+            frequency_alone(tr)
         m = ringdown_metrics(tr, t_stim_end=2e-3, settle_window=tr.t[-1] / 5)
         assert {"no-peak", "f-res-undefined", "q-undefined"} <= set(m.flags)
         assert math.isnan(m.first_peak_V) and math.isnan(m.f_res) and math.isnan(m.q_factor)
@@ -356,7 +445,7 @@ class TestCandidatePass:
         x, lo = window
         for prominence in PROMINENCES:
             expected = reference_find_peaks(x[lo:], prominence=prominence)[0][:1] + lo
-            np.testing.assert_array_equal(_find_peaks(x[lo:], prominence)[:1] + lo, expected)
+            np.testing.assert_array_equal(search(x[lo:], prominence)[:1] + lo, expected)
             np.testing.assert_array_equal(first_peak_walk(x, lo, prominence), expected)
 
     @pytest.mark.parametrize("x, lo, expected", [
@@ -390,7 +479,7 @@ class TestCandidatePass:
         x = CLEAN_THEN_SHOULDER
         assert list(first_peak_walk(x, 0, PEAK_MIN_PROMINENCE)) == [1]
         assert stack_passes == []
-        assert list(_find_peaks(x, PEAK_MIN_PROMINENCE)) == [1, 3]
+        assert list(search(x, PEAK_MIN_PROMINENCE)) == [1, 3]
         assert len(stack_passes) == 2
 
     @settings(max_examples=400, deadline=None)
@@ -404,12 +493,12 @@ class TestCandidatePass:
         for prominence in PROMINENCES:
             peaks = _prominent(x, turns, prominence)
             troughs = _prominent(x, turns, prominence, sign=-1)
-            np.testing.assert_array_equal(peaks, _find_peaks(x, prominence))
-            np.testing.assert_array_equal(troughs, _find_peaks(-x, prominence))
+            np.testing.assert_array_equal(peaks, search(x, prominence))
+            np.testing.assert_array_equal(troughs, search(-x, prominence))
             np.testing.assert_array_equal(troughs,
                                           reference_find_peaks(-x, prominence=prominence)[0])
             np.testing.assert_array_equal(_prominent(x, turns, prominence, lo, sign=-1),
-                                          _find_peaks(-x[lo:], prominence) + lo)
+                                          search(-x[lo:], prominence) + lo)
 
     @pytest.mark.parametrize("name", ["ringdown", "chirp"])
     def test_joint_pass_matches_two_searches_on_default_traces(self, reference_find_peaks,
@@ -424,14 +513,14 @@ class TestCandidatePass:
                     _prominent(x, turns, PEAK_MIN_PROMINENCE, sign=sign), expected)
 
 
-def reference_channel_peaks(t, x):
-    """The per-peak scalar refinement that ``_channel_peaks`` runs array-wise, as its oracle.
+def reference_refined_peaks(t, x):
+    """The per-peak scalar refinement that ``_refine`` runs array-wise, as its oracle.
 
     numpy scalars warn where Python floats overflow silently, so the loop
     runs with numpy's floating-point warnings off.
     """
     with np.errstate(all="ignore"):
-        idx = _find_peaks(x, PEAK_MIN_PROMINENCE)
+        idx = search(x, PEAK_MIN_PROMINENCE)
         times, values = [], []
         for i in idx:
             if 0 < i < len(x) - 1:
@@ -497,55 +586,51 @@ class TestChannelPeaks:
     def test_matches_the_scalar_refinement(self, channel):
         t, x = channel
         with np.errstate(all="ignore"):
-            idx = _find_peaks(x, PEAK_MIN_PROMINENCE)
+            idx = search(x, PEAK_MIN_PROMINENCE)
         # every peak has both neighbours, so the fit needs no edge case
         assert np.all((0 < idx) & (idx < len(x) - 1))
-        expected = reference_channel_peaks(t, x)
+        expected = reference_refined_peaks(t, x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            times, values = _channel_peaks(t, x)
+            times, values = refined_peaks(t, x)
         assert_same_floats(times, expected[0])
         assert_same_floats(values, expected[1])
 
     def test_flat_top_keeps_the_middle_sample(self):
         t = np.arange(5.0)
-        assert_same_floats(_channel_peaks(t, FLAT_TOP), ([2.0], [PEAK_MIN_PROMINENCE]))
+        assert_same_floats(refined_peaks(t, FLAT_TOP), ([2.0], [PEAK_MIN_PROMINENCE]))
 
     def test_kink_caps_the_vertex_by_the_shallower_side(self):
         t = np.arange(6.0)
         _, y1, y2 = KINK[1:4]
-        times, values = _channel_peaks(t, KINK)
+        times, values = refined_peaks(t, KINK)
         assert values[0] == y1 + 0.5 * (y1 - y2)
         assert 2.0 < times[0] <= 2.5  # the vertex leans to the higher neighbour
 
     def test_zero_cap_keeps_the_sign_of_a_negative_zero_peak(self):
-        _, values = _channel_peaks(np.arange(4.0), NEGATIVE_ZERO_TOP)
+        _, values = refined_peaks(np.arange(4.0), NEGATIVE_ZERO_TOP)
         assert values[0] == 0.0 and np.signbit(values[0])
 
 
 class TestResonantFrequency:
     def test_170hz_oracle(self):
-        tr = synthetic_ringdown(f=170.0, q=129.0)
-        assert resonant_frequency_estimates(tr)[0] == pytest.approx(170.0, rel=5e-3)
+        assert metrics(synthetic_ringdown(f=170.0, q=129.0)).f_res == pytest.approx(170.0, rel=5e-3)
 
     @pytest.mark.parametrize("f", [10.0, 50.0, 170.0, 600.0, 2000.0])
     @pytest.mark.parametrize("q", [5.0, 50.0, 500.0])
     def test_estimator_consistency_grid(self, f, q):
-        tr = synthetic_ringdown(f=f, q=q, amp=0.03)
-        est = resonant_frequency_estimates(tr)[0]
-        assert est == pytest.approx(f, rel=0.02)
-        qm = q_factor(tr)
-        assert qm == pytest.approx(q, rel=0.02)
+        m = metrics(synthetic_ringdown(f=f, q=q, amp=0.03))
+        assert m.f_res == pytest.approx(f, rel=0.02)
+        assert m.q_factor == pytest.approx(q, rel=0.02)
 
     def test_two_estimators_agree(self):
         tr = synthetic_ringdown(f=300.0, q=80.0)
-        f_peaks, f_fft = resonant_frequency_estimates(tr)
+        f_peaks, f_fft = metrics(tr).f_res, _fft_peak_frequency(tr.t, tr.V)
         assert abs(f_peaks - f_fft) <= 0.02 * f_peaks
 
     def test_insufficient_peaks_undefined(self):
-        tr = synthetic_ringdown(amp=0.0)
-        with pytest.raises(UndefinedMetricError):
-            resonant_frequency_estimates(tr)
+        m = metrics(synthetic_ringdown(amp=0.0))
+        assert "f-res-undefined" in m.flags and math.isnan(m.f_res)
 
     def test_prime_length_trace_within_oracle(self):
         # 6007 is prime: the spectrum reads the last 6000 samples
@@ -554,14 +639,14 @@ class TestResonantFrequency:
         tr = Trace(t=tr.t[:n], U=tr.U[:n], V=tr.V[:n], I_in=tr.I_in[:n],
                    clamped=tr.clamped[:n], overflow=tr.overflow[:n])
         assert largest_prime_factor(n) == n and _smooth_length(n) == 6000
-        assert resonant_frequency_estimates(tr)[1] == pytest.approx(170.0, rel=1e-2)
-        m = ringdown_metrics(tr, t_stim_end=2e-3, settle_window=tr.t[-1] / 5)
+        assert _fft_peak_frequency(tr.t, tr.V) == pytest.approx(170.0, rel=1e-2)
+        m = metrics(tr)
         assert "freq-estimators-disagree" not in m.flags
 
     def test_sampling_rate_insensitivity(self):
         f = 170.0
-        a = resonant_frequency_estimates(synthetic_ringdown(f=f, fs=300 * f))[0]
-        b = resonant_frequency_estimates(synthetic_ringdown(f=f, fs=600 * f))[0]
+        a = metrics(synthetic_ringdown(f=f, fs=300 * f)).f_res
+        b = metrics(synthetic_ringdown(f=f, fs=600 * f)).f_res
         assert abs(a - b) / a < 1e-3
 
 
@@ -627,7 +712,7 @@ class TestFrequencyCrossCheck:
 
     def test_disagreeing_estimators_are_flagged(self):
         tr = self.burst_in_weak_ring()
-        f_peaks, f_fft = resonant_frequency_estimates(tr)
+        f_peaks, f_fft = frequency_alone(tr)
         assert f_peaks == pytest.approx(150.0, rel=1e-3)
         assert f_fft == pytest.approx(200.0, rel=1e-2)
         m = ringdown_metrics(tr, t_stim_end=0.0, settle_window=0.05)
@@ -637,12 +722,12 @@ class TestFrequencyCrossCheck:
 
 class TestQFactor:
     def test_q129_oracle(self):
-        tr = synthetic_ringdown(f=170.0, q=129.0)
-        assert q_factor(tr) == pytest.approx(129.0, rel=0.02)
+        assert metrics(synthetic_ringdown(f=170.0, q=129.0)).q_factor == pytest.approx(129.0,
+                                                                                     rel=0.02)
 
     def test_undamped_trace_flags_infinite(self):
-        tr = synthetic_ringdown(f=170.0, q=1e9, duration=0.1)
-        assert math.isinf(q_factor(tr))
+        m = metrics(synthetic_ringdown(f=170.0, q=1e9, duration=0.1))
+        assert math.isinf(m.q_factor) and "infinite-q" in m.flags
 
     def test_simulated_ringdown_matches_derived_q_within_5pct(self):
         from rfneuron.experiments import run_ringdown
@@ -652,13 +737,12 @@ class TestQFactor:
         assert metrics.q_factor == pytest.approx(dp.Q, rel=0.05)
 
     def test_too_few_peaks_undefined(self):
-        tr = synthetic_ringdown(f=170.0, q=129.0, duration=2.5 / 170.0)
-        with pytest.raises(UndefinedMetricError):
-            q_factor(tr)
+        m = metrics(synthetic_ringdown(f=170.0, q=129.0, duration=2.5 / 170.0))
+        assert "q-undefined" in m.flags and math.isnan(m.q_factor)
 
 
 class TestLine:
-    """``_line``, the one line fit behind ``q_factor`` and ``linear_fit``, against ``np.polyfit``."""
+    """``_line``, the one line fit behind ``_q_factor`` and ``linear_fit``, against ``np.polyfit``."""
 
     @settings(max_examples=200, deadline=None)
     @given(scale=st.sampled_from([1e-10, 1e-3, 1.0, 1e3]),
@@ -679,6 +763,20 @@ class TestLine:
     def test_equal_x_define_no_line(self):
         with pytest.raises(UndefinedMetricError, match="distinct"):
             linear_fit(np.asarray([2.0, 2.0, 2.0]), np.asarray([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("x, y, match", [
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "finite points only"),
+        ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0], "finite points only"),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "as many y as x values, got 2 and 3"),
+        # not "fewer than 2 finite points, got 1": the one point is not finite
+        ([math.nan], [1.0], "finite points only"),
+    ], ids=["nan-y", "inf-x", "unequal-lengths", "one-nan-point"])
+    def test_bad_points_are_caller_errors(self, x, y, match):
+        # unchecked, a NaN reads as a perfect fit and an inf fits with numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                linear_fit(np.asarray(x), np.asarray(y))
 
     def test_intercept_within_1e_9_hz_of_the_exact_fit(self):
         # the sweep of criterion 9's YAML (tests/test_acceptance.py): frequencies
@@ -726,36 +824,6 @@ class TestMedian:
         assert math.isnan(_median(np.asarray(x)))
 
 
-def metrics_one_by_one(tr, t_stim_end, settle_window):
-    """The ``ringdown_metrics`` record built from the public extractors, each searching alone."""
-    flags = []
-    baseline_U = baseline_V = first_peak_U = first_peak_V = f_res = q = math.nan
-    try:
-        baseline_U, baseline_V = extract_baseline(tr, settle_window)
-    except UndefinedMetricError:
-        flags.append("baseline-undefined")
-    try:
-        first_peak_U, first_peak_V = extract_first_peak(tr, t_stim_end)
-    except UndefinedMetricError:
-        flags.append("no-peak")
-    try:
-        f_res, f_fft = resonant_frequency_estimates(tr)
-        if abs(f_res - f_fft) > FREQ_CONSISTENCY_TOL * f_res:
-            flags.append("freq-estimators-disagree")
-    except UndefinedMetricError:
-        flags.append("f-res-undefined")
-    try:
-        q = q_factor(tr)
-        if math.isinf(q):
-            flags.append("infinite-q")
-    except UndefinedMetricError:
-        flags.append("q-undefined")
-    if tr.any_overflow:
-        flags.append("overflow")
-    return MetricsRecord(baseline_U, baseline_V, first_peak_U, first_peak_V, f_res, q,
-                         tuple(flags))
-
-
 def _non_finite_v():
     tr = synthetic_ringdown()
     tr.V[len(tr) // 2] = math.nan
@@ -786,7 +854,7 @@ class TestSharedVSearch:
         m = ringdown_metrics(tr, t_stim_end, settle_window)
         assert flag in m.flags
         # repr tells a numpy scalar from a float and -0.0 from 0.0
-        assert repr(m) == repr(metrics_one_by_one(tr, t_stim_end, settle_window))
+        assert repr(m) == repr(metrics_alone(tr, t_stim_end, settle_window))
 
     def test_a_ringdown_that_fired_has_no_resonance(self):
         # its V samples hold a spike train; their peak intervals read the firing rate
@@ -795,7 +863,7 @@ class TestSharedVSearch:
         assert math.isnan(m.f_res) and math.isnan(m.q_factor)
         assert {"f-res-undefined", "q-undefined"} <= set(m.flags)
         assert "infinite-q" not in m.flags
-        for extract in (q_factor, resonant_frequency_estimates):
+        for extract in (q_alone, frequency_alone):
             with pytest.raises(UndefinedMetricError, match="clamped"):
                 extract(tr)
 
@@ -827,8 +895,8 @@ class TestFloatFields:
             if field.name != "flags":
                 assert type(getattr(m, field.name)) is float, field.name
         if "no-peak" not in m.flags:
-            assert [type(v) for v in extract_first_peak(tr, t_stim_end)] == [float, float]
-            assert type(resonant_frequency_estimates(tr)[1]) is float
+            assert [type(m.first_peak_U), type(m.first_peak_V)] == [float, float]
+            assert type(_fft_peak_frequency(tr.t, tr.V)) is float
 
 
 class TestFICurve:
