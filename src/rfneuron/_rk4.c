@@ -1,6 +1,6 @@
 /* The integrator's hot kernel: classical RK4 steps of the resonator, and the
- * runner that takes every stop of a free-running span and resolves its
- * threshold crossing.
+ * runner that takes every stop of a run, resolves each threshold crossing,
+ * holds the state until the release and writes every trace row.
  *
  * balance() is core.rhs's derivative times C, each channel's current balance
  * b_u = C1 dU/dt and b_v = C2 dV/dt, times a scale that the stage passes in.
@@ -133,36 +133,97 @@ static inline void rk4(const double *p, double h, double *u, double *v)
     *v = v0 + (rv1 + rv4) + (ia * (1.0 / 3.0)) * (2.0 * dv3 + dv4);
 }
 
-/* Take the stops after tuv = {t, u, v}, with ks = {k, e, n, s}, up to the
- * first threshold crossing or to t_end.
- *
- * Grid stop k is k*dt and stop `last` is t_end; the next stop is grid stop k,
- * or the off-grid stop extras[e] when that is earlier (extras ends in inf).
- * A step uses segment s, advanced while the step midpoint is at or past
- * seg_end[s]; segment s has the kernel constants prm[12 s ...] and the input
- * current i_in[s].  Every grid stop k with k % stride == 0, and stop `last`,
- * is written as row n of the column-major buffer `rows` (columns t, U, V,
- * I_in, each `cap` long), which the caller sizes for every row left.
- *
+/* Stop k (1-based) of a run: grid stop k is k*dt, and stop `last` is t_end. */
+static inline double stop(int64_t k, int64_t last, double dt, double t_end)
+{
+    return k < last ? (double)k * dt : t_end;
+}
+
+/* Move k and e to the first grid stop and breakpoint later than x (1 + snap). */
+static void after(double x, double snap, int64_t last, double dt, double t_end,
+                  const double *extras, int64_t *k, int64_t *e)
+{
+    double y = x * (1.0 + snap);
+    while (*k > 1 && stop(*k - 1, last, dt, t_end) > y)
+        --*k;
+    while (*k <= last && stop(*k, last, dt, t_end) <= y)
+        ++*k;
+    while (*e > 0 && extras[*e - 1] > y)
+        --*e;
+    while (extras[*e] <= y)
+        ++*e;
+}
+
+/* Write row n: t, U, V and I_in into `rows`, whose columns are cap long, and the flag. */
+static inline int64_t put(double *rows, unsigned char *clamped, int64_t cap, int64_t n, double t,
+                          double u, double v, double i_in, unsigned char flag)
+{
+    const double row[4] = {t, u, v, i_in};
+    for (int j = 0; j < 4; j++)
+        rows[j * cap + n] = row[j];
+    clamped[n] = flag;
+    return n + 1;
+}
+
+/* Run from tuv = {t, u, v, t_release} to the next threshold crossing or to
+ * t_end, writing every row; ks = {k, e, n, s}, {1, 0, 0, 0} on the first call,
+ * carries the next grid stop and breakpoint, the row count and the segment
+ * from call to call.  When t_release > t, t is a crossing: sampled grid stops
+ * before the release are clamped rows, and then a clamped row at t_end ends
+ * the run, or the release row (t_release, v_reset, v_th) restarts it;
+ * otherwise the start row does.  The hold and each restart take the first
+ * stops later than their time times (1 + snap); a crossing with none left ends
+ * the run.  A step goes to grid stop k, or to extras[e] when earlier, on
+ * segment s (constants prm[12 s ...], input current i_in[s]), advanced while
+ * the step midpoint is at or past seg_end[s].  extras holds the breakpoints in
+ * (0, t_end) in order, then inf; one within dt*snap of a grid stop acts there
+ * and is no stop of its own.  Grid stops k % stride == 0 and stop `last` are
+ * sampled.  A free row holds the state, i_in[s] and flag 0, a clamped row
+ * (v_reset, v_th), 0 and 1; the caller sizes `rows` and `clamped` for the call.
  * A step that carries V across v_th from below is bisected on re-integrated
- * partial steps until the bracket is at most tol wide; the runner then
- * returns 1 with tuv[0] at its upper end, the crossing time, and tuv[1],
- * tuv[2] left at the start of the crossing step: the handshake clamps the
- * state at the crossing, so nothing steps it there.  At t_end it returns 0.
+ * partial steps to a bracket at most tol wide; the runner writes the clamped
+ * row at its upper end, the crossing time, and returns 1 with tuv[0] there
+ * (the held state is not stepped), or else 0.
  */
 int rf_run(const double *prm, const double *seg_end, const double *i_in, const double *extras,
            double *tuv, int64_t *ks, int64_t last, int64_t stride, double dt, double t_end,
-           double v_th, double tol, double *rows, int64_t cap)
+           double snap, double v_reset, double v_th, double tol, double *rows,
+           unsigned char *clamped, int64_t cap)
 {
-    double t = tuv[0], u = tuv[1], v = tuv[2];
+    double t = tuv[0], u = tuv[1], v = tuv[2], t_rel = tuv[3];
     int64_t k = ks[0], e = ks[1], n = ks[2], s = ks[3];
     int crossed = 0;
 
+    if (t_rel > t) {
+        after(t, snap, last, dt, t_end, extras, &k, &e);
+        if (k > last)
+            goto done;
+        double hold_end = (t_end < t_rel ? t_end : t_rel) * (1.0 - snap);
+        for (; k < last && (double)k * dt < hold_end; k++)
+            if (k % stride == 0)
+                n = put(rows, clamped, cap, n, (double)k * dt, v_reset, v_th, 0.0, 1);
+        if (t_rel >= t_end) {
+            n = put(rows, clamped, cap, n, t_end, v_reset, v_th, 0.0, 1);
+            goto done;
+        }
+        t = t_rel, u = v_reset, v = v_th;
+    }
+    while (s > 0 && t < seg_end[s - 1])
+        s--;
+    while (t >= seg_end[s])
+        s++;
+    n = put(rows, clamped, cap, n, t, u, v, i_in[s], 0);
+    after(t, snap, last, dt, t_end, extras, &k, &e);
+
     while (k <= last) {
-        double t_next = k < last ? (double)k * dt : t_end;
+        double t_next = stop(k, last, dt, t_end);
         int sample = 0;
         if (extras[e] < t_next) {
-            t_next = extras[e++];
+            double b = extras[e++];
+            if (fabs(b - t_next) <= dt * snap ||
+                (k > 1 && fabs(b - stop(k - 1, last, dt, t_end)) <= dt * snap))
+                continue;
+            t_next = b;
         } else {
             sample = k % stride == 0 || k == last;
             k++;
@@ -185,20 +246,17 @@ int rf_run(const double *prm, const double *seg_end, const double *i_in, const d
                     lo = m;
             }
             t = hi;
+            n = put(rows, clamped, cap, n, t, v_reset, v_th, 0.0, 1);
             crossed = 1;
             break;
         }
         t = t_next;
         u = u_new;
         v = v_new;
-        if (sample) {
-            rows[n] = t;
-            rows[cap + n] = u;
-            rows[2 * cap + n] = v;
-            rows[3 * cap + n] = i_in[s];
-            n++;
-        }
+        if (sample)
+            n = put(rows, clamped, cap, n, t, u, v, i_in[s], 0);
     }
+done:
     tuv[0] = t;
     tuv[1] = u;
     tuv[2] = v;

@@ -7,9 +7,10 @@ section stands for all of its defaults.  Each field's default says how its
 YAML value is read: an enum takes a member's name in any case, a tuple a
 list of numbers, and a nested dataclass a mapping (``ringdown.integrator``,
 ``montecarlo.model``).  No field is boolean, so a YAML ``true`` or
-``false`` is rejected.  Two settings are inherited: the handshake's
-``T_spk`` defaults to the neuron's, and ``ringdown.integrator`` overrides
-the top-level ``integrator`` field by field.  All sections are validated by
+``false`` is rejected, and a number takes no string (YAML 1.1 reads ``5e-1``
+as a string: it is written ``5.0e-1``).  Two settings are inherited: the
+handshake's ``T_spk`` defaults to the neuron's, and ``ringdown.integrator``
+overrides the top-level ``integrator`` field by field.  All sections are validated by
 the target types' own invariants before any simulation starts, and every
 run writes the fully-defaulted effective configuration next to its outputs.
 
@@ -82,6 +83,9 @@ def _build(cls, section: dict, name: str | None):
         elif isinstance(value, bool) or isinstance(value, list) and any(
                 isinstance(v, bool) for v in value):
             raise ConfigError(f"'{where}' takes no boolean, got {value!r}")
+        elif isinstance(value, str) and (default is None or isinstance(default, (int, float))):
+            raise ConfigError(f"'{where}' takes a number, got the string {value!r}; YAML "
+                              "reads 5e-1 as a string, so write 5.0e-1")
         elif isinstance(default, Enum) and isinstance(value, str):
             with contextlib.suppress(ValueError):  # the type rejects an unknown name
                 value = type(default)(value.lower())

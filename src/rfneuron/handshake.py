@@ -76,7 +76,7 @@ class HandshakeFSM:
     Accepts exactly the call sequence (on_threshold -> release)*; anything
     else raises :class:`ProtocolError`.  Events are appended in order and
     never overlap: event i+1 cannot assert before event i released.  The
-    clamp itself, (V_reset, V_th) until ``t_release``, is the caller's.
+    clamp itself, (V_reset, V_th) until ``t_release``, is the span runner's.
     """
 
     def __init__(self, cfg: HandshakeConfig):

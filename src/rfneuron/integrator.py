@@ -11,23 +11,21 @@ window.  A later stage near the start takes its branch current as K P(d),
 with P a short polynomial and K (the scale times the start's branch current)
 folded into P's coefficients once per step, so one stage's d follows from
 the last by P and one subtraction.  The header of ``_rk4.c`` sets out how.
-The C file exports one entry, a span runner, which owns the stop schedule of
-a free-running span: it takes every stop, switches the drive segment, samples
-into the trace's column buffers, and bisects the first threshold crossing,
-returning its time.
-``integrate()`` keeps what happens between spans: the handshake at each
-crossing, the hold, the release, ``max_events`` and the size of the row
-buffer.
+The C file exports one entry, a span runner, which owns the whole stop
+schedule: it takes every stop, switches the drive segment, bisects each
+threshold crossing, holds the state through each handshake, restarts at each
+release, and writes every trace row into the column buffers.  It returns at
+each crossing, and ``integrate()`` keeps ``max_events``, the size of the row
+buffer and the handshake FSM, which turns the crossing into an event.
 
 The stops are computed, not stored: grid stop k is ``k * dt``, the last
 stop is ``t_end``, and each program breakpoint more than ``dt * _GRID_SNAP``
 from the grid is an extra stop, so no RK4 substep straddles a drive
 discontinuity and each keeps its full order.  Threshold crossings are
 bracketed inside a substep and refined by bisection on re-integrated partial
-steps.  The handshake FSM turns each crossing time into an event with its
-release time.  The state stays clamped at (V_reset, V_th) on the grid until
-that release, or to ``t_end`` if the release lies beyond it, and integration
-then resumes mid-grid from (t_release, V_reset, V_th).
+steps.  The state stays clamped at (V_reset, V_th) on the grid until the
+event's release, or to ``t_end`` if the release lies beyond it, and
+integration then resumes mid-grid from (t_release, V_reset, V_th).
 
 Traces hold every ``sample_stride``-th grid stop and ``t_end``, plus samples
 at clamp entry and release that delimit each clamp window exactly.
@@ -49,7 +47,6 @@ import math
 import os
 import tempfile
 import zlib
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +72,7 @@ _GRID_SNAP = 1e-9
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_TUV = ctypes.c_double * 3
+_TUV = ctypes.c_double * 4
 _KS = ctypes.c_int64 * 4
 
 
@@ -139,7 +136,8 @@ def _load_kernel(source: Path = _KERNEL_SOURCE) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so))
     lib.rf_run.argtypes = (
         *[ctypes.c_void_p] * 4, ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_double] * 4, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_double] * 6, *[ctypes.c_void_p] * 2,
+        ctypes.c_int64,
     )
     lib.rf_run.restype = ctypes.c_int
     return lib
@@ -219,41 +217,6 @@ def _span_params(p: CircuitParams, ref: DerivedParams, I_in: float) -> tuple[flo
     )
 
 
-class _Rows:
-    """Trace rows in column buffers that the span runner and ``integrate()`` both fill."""
-
-    def __init__(self, cap: int) -> None:
-        self.cols = np.empty((4, cap))  # t, U, V, I_in; C order, as rf_run writes them
-        self.clamped = np.zeros(cap, dtype=bool)
-        self.ptr = self.cols.ctypes.data
-        self.n = 0
-
-    @property
-    def cap(self) -> int:
-        return len(self.clamped)
-
-    def reserve(self, m: int) -> None:
-        """Make room for ``m`` more rows, at least doubling the buffer when it grows."""
-        if self.n + m > self.cap:
-            cap = max(self.n + m, 2 * self.cap)
-            cols, self.cols = self.cols, np.empty((4, cap))
-            self.cols[:, : self.n] = cols[:, : self.n]
-            self.clamped = np.concatenate([self.clamped, np.zeros(cap - self.cap, dtype=bool)])
-            self.ptr = self.cols.ctypes.data
-
-    def add(self, t: float, u: float, v: float, I_in: float, clamped: bool = False) -> None:
-        self.reserve(1)
-        self.cols[:, self.n] = t, u, v, I_in
-        self.clamped[self.n] = clamped
-        self.n += 1
-
-    def trace(self, vmin: float, vmax: float) -> Trace:
-        """The rows so far; a clamped row holds (V_reset, V_th), inside the window."""
-        t, U, V, I_in = self.cols[:, : self.n]
-        inside = (vmin <= U) & (U <= vmax) & (vmin <= V) & (V <= vmax)
-        return Trace(t, U, V, I_in, self.clamped[: self.n], ~inside)
-
-
 def integrate(
     s0: NeuronState,
     p: CircuitParams,
@@ -269,10 +232,11 @@ def integrate(
     threshold crossing is an event: the state is held at (V_reset, V_th)
     until the event's release and then runs free again.  ``max_events``,
     when given, must be at least 1: the run then ends at the crossing of
-    that event.  The damping
-    reference is the equilibrium with the program's constant input folded in
-    when the program is a single constant segment; transient programs
-    reference the zero-input equilibrium.
+    that event.  A hold no longer than ``math.ulp(t_end)``, the trace's time
+    resolution, raises ``ConfigError``.  The damping reference is the
+    equilibrium with the program's constant input folded in when the program
+    is a single constant segment; transient programs reference the zero-input
+    equilibrium.
     """
     vmin, vmax = p.v_min_guard, p.v_max_guard
     if not 0.0 <= s0.t < cfg.t_end:
@@ -285,6 +249,10 @@ def integrate(
         raise ValueError(f"max_events must be at least 1, got {max_events!r}")
     if protocol is None:
         protocol = HandshakeConfig(T_spk=p.T_spk)
+    if protocol.T_spk <= math.ulp(cfg.t_end):
+        # a release would fall on its own crossing's time
+        raise ConfigError(f"T_spk={protocol.T_spk!r} is below the time resolution "
+                          f"{math.ulp(cfg.t_end)!r} s at t_end={cfg.t_end!r}")
 
     ref_current = 0.0
     if prog.is_constant:
@@ -298,74 +266,43 @@ def integrate(
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.sample_stride
     n = math.floor(t_end / dt + _GRID_SNAP)
     last = n if n and n * dt >= t_end * (1.0 - _GRID_SNAP) else n + 1
-    grid = range(1, last + 1)
-
-    def stop(k: int) -> float:
-        return k * dt if k < last else t_end
-
-    def off_grid(b: float) -> bool:
-        i = bisect_left(grid, b, key=stop)  # stops i and i + 1 bracket b
-        return all(abs(b - stop(k)) > dt * _GRID_SNAP for k in (i, i + 1) if 1 <= k <= last)
-
-    extras = [b for b in prog.breakpoints if 0.0 < b < t_end * (1.0 - _GRID_SNAP) and off_grid(b)]
-    extras.append(math.inf)  # sentinel: never the next stop
-
-    def after(x: float) -> tuple[int, int]:
-        """Indices of the first grid stop and first extra stop later than x * (1 + _GRID_SNAP)."""
-        y = x * (1.0 + _GRID_SNAP)
-        return bisect_right(grid, y, key=stop) + 1, bisect_right(extras, y)
 
     # rf_run's tables: kernel constants, end time and input current per segment up to
-    # the one holding t_end (no step midpoint reaches past it), extra stops
+    # the one holding t_end (no step midpoint reaches past it), breakpoints
     segments = prog.segments[: prog.segment_index(t_end) + 1]
     currents = [synapse_current(seg.V_exc, seg.V_inh, p) for seg in segments]
     tables = (
         np.array([_span_params(p, ref, c) for c in currents]),
         np.array([seg.t_end for seg in segments]),
         np.array(currents),
-        np.array(extras),
+        np.array([b for b in prog.breakpoints if 0.0 < b < t_end * (1.0 - _GRID_SNAP)]
+                 + [math.inf]),  # sentinel: never the next stop
     )
     table_ptrs = [a.ctypes.data for a in tables]  # `tables` keeps the memory alive
 
     fsm = HandshakeFSM(protocol)
-    V_reset, V_th = p.V_reset, p.V_th
-    t, u, v = s0.t, s0.U, s0.V
-    s = prog.segment_index(t)
-    rows = _Rows(0)
-    rows.add(t, u, v, currents[s])
-    k, e = after(t)
-    tuv, ks = _TUV(), _KS()
-
+    rows, clamped = np.empty((4, 0)), np.empty(0, dtype=bool)  # t, U, V, I_in in C order
+    tuv, ks = _TUV(s0.t, s0.U, s0.V, s0.t), _KS(1, 0, 0, 0)  # no release pending: a start
     while True:
-        rows.reserve((last - k) // stride + 2)  # every grid row left, and t_end
-        tuv[:], ks[:] = (t, u, v), (k, e, rows.n, s)
-        crossed = _lib.rf_run(*table_ptrs, tuv, ks, last, stride, dt, t_end, V_th,
-                              cfg.crossing_tol, rows.ptr, rows.cap)
-        (t, u, v), (k, e, rows.n, s) = tuv, ks
+        # room for every grid row from the stop before k on, t_end, a start or release
+        # row and a crossing row; a buffer that grows at least doubles
+        filled, need = ks[2], ks[2] + (last - ks[0] + 1) // stride + 4
+        if need > len(clamped):
+            cap = max(need, 2 * len(clamped))
+            old, rows, clamped = (rows, clamped), np.empty((4, cap)), np.empty(cap, dtype=bool)
+            rows[:, :filled], clamped[:filled] = old[0][:, :filled], old[1][:filled]
+        crossed = _lib.rf_run(*table_ptrs, tuv, ks, last, stride, dt, t_end, _GRID_SNAP, p.V_reset,
+                              p.V_th, cfg.crossing_tol, rows.ctypes.data, clamped.ctypes.data,
+                              len(clamped))
         if not crossed:
             break
-
-        event = fsm.on_threshold(t)
-        rows.add(t, V_reset, V_th, 0.0, clamped=True)
+        event = fsm.on_threshold(tuv[0])
         if max_events is not None and len(fsm.events) >= max_events:
             break
-        k, e = after(t)
-        if k > last:
-            break
-        # hold: clamped samples on the grid, then the release or the horizon
-        t_rel = event.t_release
-        hold_end = min(t_rel, t_end) * (1.0 - _GRID_SNAP)
-        while k < last and k * dt < hold_end:
-            if k % stride == 0:
-                rows.add(k * dt, V_reset, V_th, 0.0, clamped=True)
-            k += 1
-        if t_rel >= t_end:
-            rows.add(t_end, V_reset, V_th, 0.0, clamped=True)
-            break
-        fsm.release(event)
-        t, u, v = t_rel, V_reset, V_th
-        s = prog.segment_index(t)
-        rows.add(t, u, v, currents[s])
-        k, e = after(t)
+        if event.t_release < t_end:  # a later release is past the run
+            fsm.release(event)
+        tuv[3] = event.t_release
 
-    return rows.trace(vmin, vmax), fsm.events
+    t, U, V, I_in = rows[:, : ks[2]]  # a clamped row holds (V_reset, V_th), inside
+    inside = (vmin <= U) & (U <= vmax) & (vmin <= V) & (V <= vmax)
+    return Trace(t, U, V, I_in, clamped[: ks[2]], ~inside), fsm.events

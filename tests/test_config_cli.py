@@ -186,6 +186,9 @@ SECTIONS = [pytest.param(path, id=".".join(path))
 # a YAML true for every other field, inside a list where the field is a tuple
 YAML_TRUE = [pytest.param(path, [True] if isinstance(default, tuple) else True, id=".".join(path))
              for path, default in _config_fields() if not dataclasses.is_dataclass(default)]
+# every field that takes a number: its default is a number, or None (I_n0_alpha)
+NUMBERS = [pytest.param(path, id=".".join(path)) for path, default in _config_fields()
+           if default is None or type(default) in (int, float)]
 
 
 # (owning type, field, True) for every numeric field of every section type, nested ones
@@ -314,6 +317,16 @@ class TestLoadConfig:
         doc = tmp_path / "bool.yaml"
         doc.write_text(_document(path, value))
         with pytest.raises(ConfigError, match=re.escape(f"'{'.'.join(path)}' takes no boolean")):
+            load_config(doc)
+
+    @pytest.mark.parametrize("path", NUMBERS)
+    def test_yaml_exponents_without_a_point_rejected(self, path, tmp_path):
+        # YAML 1.1 reads 5e-1 as a string
+        doc = tmp_path / "exponent.yaml"
+        doc.write_text(_document(path, "5e-1"))
+        assert "5e-1\n" in doc.read_text()  # written plain, as a user would write it
+        fault = f"'{'.'.join(path)}' takes a number, got the string '5e-1'; "
+        with pytest.raises(ConfigError, match=re.escape(fault) + ".*write 5\\.0e-1"):
             load_config(doc)
 
     @pytest.mark.parametrize("path", SECTIONS)
@@ -565,6 +578,16 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("protocol error: scripted acknowledge list exhausted")
+        assert err.count("\n") == 1
+
+    def test_hold_below_the_time_resolution_exit_code(self, tmp_path, capsys):
+        # a release on its crossing's own time would repeat a trace timestamp
+        path = tmp_path / "hold.yaml"
+        path.write_text(FAST_CONFIG + "handshake: {T_spk: 1.0e-300}\n")
+        rc = main(["fi", "--config", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: T_spk=1e-300 is below the time resolution")
         assert err.count("\n") == 1
 
     def test_undefined_metric_exit_code(self, fast_config, tmp_path, monkeypatch, capsys):
@@ -967,6 +990,10 @@ _SETUP_SECTIONS = {
         "n_points": st.integers(-1, 2), "I_min": _around(10e-12), "I_max": _around(2.51e-9),
         "amplitude": _around(0.4), "width": _around(100e-6),
     }),
+    "montecarlo": ("montecarlo", {"montecarlo": {"n_dies": 2},
+                                  "ringdown": {"horizon": 0.02, "settle_window": 0.005}}, {
+        "n_dies": st.integers(-1, 3), "amplitude": _around(0.4),
+    }),
 }
 
 
@@ -990,10 +1017,16 @@ def _setup_section(name: str):
 @example(("ringdown", {"settle_window": 0.5}))
 @example(("integrator", {"sample_stride": 5.0}))
 @example(("chirp", {"sample_stride": 2.5}))
+# YAML 1.1 reads an exponent with no decimal point as a string
+@example(("ringdown", {"amplitude": "4e-1"}))
+@example(("chirp", {"amplitude": "5e-1"}))
+@example(("sweep", {"amplitude": "4e-1"}))
+@example(("montecarlo", {"amplitude": "4e-1", "n_dies": 2}))
+@example(("integrator", {"dt": "5e-6"}))
 @settings(max_examples=40, deadline=None)
 def test_any_setup_section_ends_in_a_documented_exit_code(drawn):
-    """A short run on any ringdown, fi, integrator, chirp or sweep section exits 0-3 with
-    <= 1 stderr line."""
+    """A short run on any ringdown, fi, integrator, chirp, sweep or montecarlo section exits
+    0-3 with <= 1 stderr line."""
     name, fields = drawn
     command, base, _ = _SETUP_SECTIONS[name]
     with tempfile.TemporaryDirectory() as tmp:

@@ -64,11 +64,13 @@ def kernel_step(p, ref, I_in, lib=_lib):
     """
     prm = (ctypes.c_double * 12)(*_span_params(p, ref, I_in))
     inf = (ctypes.c_double * 1)(math.inf)  # the segment's end and the extra stops' sentinel
-    i_in, row = (ctypes.c_double * 1)(I_in), (ctypes.c_double * 4)()
+    i_in, rows = (ctypes.c_double * 1)(I_in), (ctypes.c_double * 8)()  # start and t_end rows
+    clamped = (ctypes.c_ubyte * 2)()
 
     def step_fn(u, v, h):
-        tuv, ks = _TUV(0.0, u, v), _KS(1, 0, 0, 0)
-        lib.rf_run(prm, inf, i_in, inf, tuv, ks, 1, 1, h, h, math.inf, h, row, 1)
+        tuv, ks = _TUV(0.0, u, v, 0.0), _KS(1, 0, 0, 0)
+        lib.rf_run(prm, inf, i_in, inf, tuv, ks, 1, 1, h, h, _GRID_SNAP, 0.0, math.inf, h,
+                   rows, clamped, 2)
         return tuv[1], tuv[2]
 
     return step_fn
@@ -570,7 +572,9 @@ class TestIntegrate:
         p = dataclasses.replace(CircuitParams(), V_th=0.840)
         prog = step(0.5, Polarity.EXC)
         cfg = IntegratorConfig(t_end=0.03)
-        trace, events = integrate(equilibrium_state(p), p, prog, cfg, HandshakeConfig(T_spk=1.0))
+        run = (equilibrium_state(p), p, prog, cfg, HandshakeConfig(T_spk=1.0), None)
+        trace, events = integrate(*run)
+        assert outcome(integrate, run) == outcome(reference_integrate, run)
         assert len(events) == 1 and events[0].t_release > cfg.t_end
         assert trace.t[-1] == cfg.t_end
         assert np.count_nonzero(trace.t == cfg.t_end) == 1
@@ -579,6 +583,43 @@ class TestIntegrate:
         assert np.all(trace.clamped[held])               # no release sample
         assert np.all(trace.U[held] == p.V_reset)
         assert np.all(trace.I_in[held] == 0.0)
+
+    def test_crossing_in_the_final_step_ends_the_trace(self):
+        # a horizon at the first crossing: no grid stop is left after it, so the
+        # clamped crossing row is the last, with no hold and no t_end row
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        s0, prog = equilibrium_state(p), step(0.5, Polarity.EXC)
+        cfg = IntegratorConfig(t_end=0.01, crossing_tol=1e-15)
+        t_c = integrate(s0, p, prog, cfg, max_events=1)[1][0].t_req
+        run = (s0, p, prog, dataclasses.replace(cfg, t_end=t_c), None, None)
+        trace, events = integrate(*run)
+        assert outcome(integrate, run) == outcome(reference_integrate, run)
+        assert len(events) == 1 and events[0].t_req == trace.t[-1] <= t_c
+        assert trace.clamped.tolist() == [False] * (len(trace) - 1) + [True]
+        assert trace.t[-2] < t_c * (1.0 - _GRID_SNAP)
+
+    def test_hold_shorter_than_a_step_restarts_before_the_crossing_step_ends(self):
+        # a breakpoint in every grid interval: a crossing bisected in the step to one
+        # is released before it, so the restart must find that breakpoint again
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        dt = IntegratorConfig().dt
+        bounds = [0.0, *[(k + 0.9) * dt for k in range(600)], math.inf]
+        prog = StimulusProgram([Segment(a, b, 0.5, 0.0) for a, b in zip(bounds, bounds[1:])])
+        run = (equilibrium_state(p), p, prog, IntegratorConfig(t_end=5e-3, sample_stride=1),
+               HandshakeConfig(T_spk=1e-7), None)
+        events = integrate(*run)[1]
+        assert len(events) == 2
+        assert all(math.floor(e.t_req / dt + 0.1) == math.floor(e.t_release / dt + 0.1)
+                   for e in events)  # each release lies before the breakpoint after it
+        assert outcome(integrate, run) == outcome(reference_integrate, run)
+
+    @pytest.mark.parametrize("T_spk", [1e-300, math.ulp(0.03)])
+    def test_hold_below_the_time_resolution_rejected(self, T_spk):
+        # a release on its crossing's own time would repeat a trace timestamp
+        p = dataclasses.replace(CircuitParams(), V_th=0.840)
+        with pytest.raises(ConfigError, match="below the time resolution"):
+            integrate(equilibrium_state(p), p, step(0.5, Polarity.EXC),
+                      IntegratorConfig(t_end=0.03), HandshakeConfig(T_spk=T_spk))
 
     def test_event_rows_outgrow_the_grid_sized_buffer(self):
         # with no grid sample but the start and t_end, every crossing and
@@ -849,6 +890,15 @@ class TestStopSchedule:
         IntegratorConfig(t_end=0.03, sample_stride=1),
         HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=60e-6,
                         ack_delays=(0.0, 1.234e-4, 2e-3, 0.0, 5e-5) * 4),
+        None,
+    ))
+    @example((  # holds of hundreds of grid stops, each sampled, and a release past t_end
+        equilibrium_state(dataclasses.replace(CircuitParams(), V_th=0.84)),
+        dataclasses.replace(CircuitParams(), V_th=0.84),
+        step(0.5, Polarity.EXC),
+        IntegratorConfig(t_end=0.02, sample_stride=1),
+        HandshakeConfig(mode=AckMode.SCRIPTED_ACK, T_spk=60e-6,
+                        ack_delays=(3e-3, 5.0037e-3, 0.1)),
         None,
     ))
     @settings(max_examples=80, deadline=None)
